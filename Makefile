@@ -42,12 +42,16 @@ sim:
 		./internal/machsim/ ./internal/machsim/scenarios/ ./internal/core/... \
 		./internal/kern/ ./internal/sched/ ./internal/pmap/ ./internal/ipc/
 
-# Seed-corpus pass over the machsim fuzz targets (cxlock option combos,
-# refcount clone/release sequences, engine-found replay schedules). For a
-# real fuzzing session:
-#   go test ./internal/core/cxlock/ -run '^$$' -fuzz FuzzSimCxlockOptions
+# Seed-corpus pass over the fuzz targets (also run in CI): the machsim
+# ones (cxlock option combos, refcount clone/release sequences,
+# engine-found replay schedules) and the wire decoders (netmsg frames from
+# a hostile peer, mig payloads for every machd routine type). For a real
+# fuzzing session:
+#   go test ./internal/netmsg/ -run '^$$' -fuzz FuzzNetmsgFrame
 fuzz-smoke:
-	$(GO) test -run 'FuzzSim' ./internal/core/cxlock/ ./internal/core/refcount/ ./internal/machsim/
+	$(GO) test -run 'FuzzSim|FuzzNetmsgFrame|FuzzMigUnpack' \
+		./internal/core/cxlock/ ./internal/core/refcount/ ./internal/machsim/ \
+		./internal/netmsg/ ./internal/mig/
 
 # Experiment benchmarks (E1-E13) plus the uncontended fast-path pairs
 # that pin the observability layer's disabled-tracing overhead.
@@ -91,12 +95,14 @@ machd:
 # drives four distinct scenario mixes over real TCP sockets, scrapes
 # /debug/machlock/metrics, and asserts the SLO quantiles are populated,
 # the combined exposition carries the machlock_* and machd_* families,
-# zero incidents were filed, and BENCH_machd.json validates. This run is
-# measurement-clean — the trajectory must stay comparable across PRs —
-# so the lock-graph collector (which perturbs spin-lock hold times) gets
-# its own smoke below.
+# zero incidents were filed, and its report validates. The report goes to
+# a scratch file, so the committed BENCH_machd.json trajectory stays
+# untouched for `benchdiff BENCH_machd.json machd-smoke-bench.json`. This
+# run is measurement-clean — the trajectory must stay comparable across
+# PRs — so the lock-graph collector (which perturbs spin-lock hold times)
+# gets its own smoke below.
 machd-smoke:
-	$(GO) run ./cmd/machd -smoke -bench BENCH_machd.json
+	$(GO) run ./cmd/machd -smoke -bench machd-smoke-bench.json
 
 # Same four mixes with the lock-order collector enabled, dumping the
 # observed class edges through the real /debug/machlock/lockgraph

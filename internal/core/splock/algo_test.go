@@ -147,31 +147,34 @@ func TestAlgoStatsAccounting(t *testing.T) {
 		}
 	})
 	t.Run("cohort-local", func(t *testing.T) {
+		// Force a same-domain successor. Domains are dealt round-robin:
+		// the holder gets domain 0, the first waiter domain 1 and the
+		// second domain 0, queued behind the holder, so the release must
+		// hand off inside the domain.
 		l := NewWith(Opts{Algorithm: Cohort, Domains: 2, HandoffBudget: 16})
-		contend(l, 4, 500)
-		s := l.AlgoStats()
-		if s.Handoffs == 0 {
-			t.Skip("scheduler never produced a queued successor; nothing to assert")
-		}
-		if s.Local == 0 {
-			t.Fatal("cohort recorded handoffs but none stayed in-domain")
-		}
-	})
-}
-
-func contend(l *Lock, workers, iters int) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
+		a := l.algo
+		l.Lock()
+		var wg sync.WaitGroup
+		for w := uint32(1); w <= 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
 				l.Lock()
 				l.Unlock()
+			}()
+			for a.rr.Load() != w+1 {
+				runtime.Gosched()
 			}
-		}()
-	}
-	wg.Wait()
+		}
+		for a.domains[0].cur.next.Load() == nil {
+			runtime.Gosched()
+		}
+		l.Unlock()
+		wg.Wait()
+		if s := l.AlgoStats(); s.Handoffs == 0 || s.Local == 0 {
+			t.Fatalf("stats %+v: the queued same-domain successor got no local handoff", s)
+		}
+	})
 }
 
 // contendSlow holds the lock across a sleep so waiters reliably exhaust a

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -61,31 +62,36 @@ func TestClaimE3WriterPriority(t *testing.T) {
 }
 
 // E4: the upgrade protocol restarts under contention; write+downgrade
-// never does (structurally cannot).
+// never does (structurally cannot). Each round forces the contention: two
+// threads both hold the read lock (a barrier) before either tries
+// ReadToWrite, so exactly one upgrade must fail, release its read hold
+// and restart.
 func TestClaimE4UpgradeRestarts(t *testing.T) {
+	const rounds = 50
 	l := cxlock.NewWith(cxlock.Options{Sleep: true})
 	var restarts atomic.Int64
-	var ths []*sched.Thread
-	for i := 0; i < 4; i++ {
-		ths = append(ths, sched.Go("u", func(self *sched.Thread) {
-			for n := 0; n < 3000; n++ {
-				for {
+	for r := 0; r < rounds; r++ {
+		var readers sync.WaitGroup
+		readers.Add(2)
+		var ths []*sched.Thread
+		for i := 0; i < 2; i++ {
+			ths = append(ths, sched.Go("u", func(self *sched.Thread) {
+				l.Read(self)
+				readers.Done()
+				readers.Wait()
+				for l.ReadToWrite(self) {
+					restarts.Add(1)
 					l.Read(self)
-					if failed := l.ReadToWrite(self); failed {
-						restarts.Add(1)
-						continue
-					}
-					l.Done(self)
-					break
 				}
-			}
-		}))
+				l.Done(self)
+			}))
+		}
+		for _, th := range ths {
+			th.Join()
+		}
 	}
-	for _, th := range ths {
-		th.Join()
-	}
-	if restarts.Load() == 0 {
-		t.Skip("no upgrade contention materialized on this run (2-core scheduling); shape not testable")
+	if restarts.Load() != rounds {
+		t.Fatalf("restarts = %d over %d forced rounds, want exactly one per round", restarts.Load(), rounds)
 	}
 	if l.Stats().FailedUpgrades != restarts.Load() {
 		t.Fatalf("failed upgrades %d != restarts %d", l.Stats().FailedUpgrades, restarts.Load())

@@ -247,7 +247,8 @@ func (p *Port) QueueLen() int {
 }
 
 // Destroy deactivates the port (making sends and translations fail), wakes
-// any blocked receivers, drains and destroys queued messages, releases the
+// any blocked receivers, drains and destroys queued messages (answering
+// each one that names a reply port with ErrPortDead), releases the
 // port's reference to its kernel object (if any), and drops the caller's
 // reference. Remaining references keep the bare structure alive; the last
 // release frees it.
@@ -274,6 +275,13 @@ func (p *Port) Destroy() {
 		}
 		sched.ThreadWakeup(sched.Event(&p.msgs))
 		for _, m := range drained {
+			// Like Mach's send-once notification: a queued request's
+			// sender learns the port died instead of waiting forever.
+			if reply := NewErrorReply(m, ErrPortDead); reply != nil {
+				if err := reply.Dest.Send(reply); err != nil {
+					reply.Destroy()
+				}
+			}
 			m.Destroy()
 		}
 		if obj != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"machlock/internal/sched"
 )
@@ -253,6 +254,44 @@ func TestCallToDeadPortFails(t *testing.T) {
 	th := sched.New("t")
 	if _, err := Call(th, p, opPing); !errors.Is(err, ErrPortDead) {
 		t.Fatalf("Call = %v, want ErrPortDead", err)
+	}
+	p.Release(nil)
+}
+
+// TestCallFailsWhenQueuedRequestsPortDies: a request still queued when
+// its destination is destroyed is answered with ErrPortDead, the way
+// Mach's send-once notification tells the sender, instead of leaving the
+// caller blocked on its reply port forever.
+func TestCallFailsWhenQueuedRequestsPortDies(t *testing.T) {
+	p := NewPort("unserved")
+	p.TakeRef() // the caller's reference
+	type result struct {
+		resp *Message
+		err  error
+	}
+	done := make(chan result, 1)
+	sched.Go("caller", func(self *sched.Thread) {
+		resp, err := Call(self, p, opPing)
+		done <- result{resp, err}
+	})
+	for p.QueueLen() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	p.Destroy()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("Call = %v, want an error reply", r.err)
+		}
+		if !errors.Is(r.resp.Err, ErrPortDead) {
+			t.Fatalf("reply error = %v, want ErrPortDead", r.resp.Err)
+		}
+		r.resp.Destroy()
+	case <-time.After(5 * time.Second):
+		t.Fatal("caller still blocked after its destination was destroyed")
+	}
+	if refsOf(p) != 1 {
+		t.Fatalf("port refs = %d, want the caller's 1 (drained request released)", refsOf(p))
 	}
 	p.Release(nil)
 }

@@ -9,13 +9,15 @@
 // port. Client code cannot tell whether a port is local or a network
 // proxy, which is exactly the property the paper describes.
 //
-// The wire format is gob-encoded frames; message bodies may carry the
-// basic types registered below (the mig stub layer only ever sends
-// []byte payloads, so typed interfaces cross the network unchanged).
+// The wire format is a length-prefixed binary frame in the internal/wire
+// encoding (see frame.go). Message bodies may carry []byte, string, int,
+// int64, uint64, float64 and bool items; the mig stub layer only ever
+// sends one []byte payload, so typed interfaces cross the network
+// unchanged. A request whose body cannot be framed fails alone with an
+// error reply; the connection keeps serving.
 package netmsg
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -26,17 +28,6 @@ import (
 	"machlock/internal/ipc"
 	"machlock/internal/sched"
 )
-
-func init() {
-	// Concrete body types allowed across the wire.
-	gob.Register([]byte(nil))
-	gob.Register("")
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register(uint64(0))
-	gob.Register(float64(0))
-	gob.Register(true)
-}
 
 // Errors surfaced by the proxy.
 var (
@@ -53,13 +44,6 @@ type RemoteError struct {
 
 // Error implements error.
 func (e *RemoteError) Error() string { return "netmsg(remote): " + e.Msg }
-
-// wireMsg is one frame: a request (Op, Body) or a reply (Op, Body, Err).
-type wireMsg struct {
-	Op   int
-	Body []any
-	Err  string
-}
 
 // Stats counts frames.
 type Stats struct {
@@ -84,35 +68,48 @@ func GlobalStats() Stats {
 // request frame becomes a local RPC to target and the reply frame travels
 // back. It returns when the connection or the port dies. The caller's
 // reference to target covers the calls made here.
-func ExportConn(conn io.ReadWriteCloser, target *ipc.Port) error {
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+func ExportConn(rw io.ReadWriteCloser, target *ipc.Port) error {
+	defer rw.Close()
+	c := newConn(rw)
 	t := sched.New("netmsg-export")
 	for {
-		var req wireMsg
-		if err := dec.Decode(&req); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
+		req, err := c.readFrame()
 		var out wireMsg
-		resp, err := ipc.Call(t, target, req.Op, req.Body...)
 		switch {
-		case err != nil:
+		case errors.Is(err, ErrMalformedFrame):
+			// The framing is intact, so only this request is lost.
 			out = wireMsg{Op: req.Op, Err: err.Error()}
-		case resp.Err != nil:
-			out = wireMsg{Op: resp.Op, Err: resp.Err.Error()}
-			resp.Destroy()
-		default:
-			out = wireMsg{Op: resp.Op, Body: resp.Body}
-			resp.Destroy()
-		}
-		if err := enc.Encode(out); err != nil {
+		case errors.Is(err, io.EOF):
+			return nil
+		case err != nil:
 			return err
+		default:
+			out = serve(t, target, &req)
+		}
+		if err := c.writeFrame(&out); err != nil {
+			if !isFrameError(err) {
+				return err
+			}
+			// The reply cannot cross the wire: report that instead.
+			out = wireMsg{Op: out.Op, Err: err.Error()}
+			if err := c.writeFrame(&out); err != nil {
+				return err
+			}
 		}
 	}
+}
+
+// serve makes the local RPC for one forwarded request.
+func serve(t *sched.Thread, target *ipc.Port, req *wireMsg) wireMsg {
+	resp, err := ipc.Call(t, target, req.Op, req.Body...)
+	if err != nil {
+		return wireMsg{Op: req.Op, Err: err.Error()}
+	}
+	defer resp.Destroy()
+	if resp.Err != nil {
+		return wireMsg{Op: resp.Op, Err: resp.Err.Error()}
+	}
+	return wireMsg{Op: resp.Op, Body: resp.Body}
 }
 
 // Export accepts connections and serves target on each until the listener
@@ -165,35 +162,20 @@ func Export(l net.Listener, target *ipc.Port) {
 // Requests are forwarded one at a time in arrival order — the message
 // queue on the proxy port provides the buffering, exactly as a real port's
 // queue would.
-func ProxyConn(conn io.ReadWriteCloser, name string) *ipc.Port {
+func ProxyConn(rw io.ReadWriteCloser, name string) *ipc.Port {
 	proxy := ipc.NewPort(name)
 	proxy.TakeRef() // the forwarder's reference
 	sched.Go("netmsg-proxy:"+name, func(t *sched.Thread) {
-		defer conn.Close()
+		defer rw.Close()
 		defer proxy.Release(nil)
-		enc := gob.NewEncoder(conn)
-		dec := gob.NewDecoder(conn)
+		c := newConn(rw)
 		for {
 			req, err := proxy.Receive(t)
 			if err != nil {
 				return // proxy destroyed
 			}
 			requestsForwarded.Add(1)
-
-			var out wireMsg
-			werr := enc.Encode(wireMsg{Op: req.Op, Body: req.Body})
-			if werr == nil {
-				werr = dec.Decode(&out)
-			}
-			var reply *ipc.Message
-			switch {
-			case werr != nil:
-				reply = ipc.NewErrorReply(req, fmt.Errorf("%w: %v", ErrConnection, werr))
-			case out.Err != "":
-				reply = ipc.NewErrorReply(req, &RemoteError{Msg: out.Err})
-			default:
-				reply = ipc.NewReply(req, out.Body...)
-			}
+			reply, terr := c.forward(req)
 			if reply != nil {
 				repliesReturned.Add(1)
 				if err := reply.Dest.Send(reply); err != nil {
@@ -201,12 +183,38 @@ func ProxyConn(conn io.ReadWriteCloser, name string) *ipc.Port {
 				}
 			}
 			req.Destroy()
-			if werr != nil {
+			if terr != nil {
 				return // transport is gone; stop forwarding
 			}
 		}
 	})
 	return proxy
+}
+
+// forward sends one request over the connection and builds the local
+// reply from the answer. A request that cannot be framed, or an answer
+// that does not parse, fails only this call; the returned error is set
+// only when the transport itself broke.
+func (c *conn) forward(req *ipc.Message) (*ipc.Message, error) {
+	err := c.writeFrame(&wireMsg{Op: req.Op, Body: req.Body})
+	if isFrameError(err) {
+		return ipc.NewErrorReply(req, err), nil
+	}
+	var out wireMsg
+	if err == nil {
+		out, err = c.readFrame()
+	}
+	switch {
+	case errors.Is(err, ErrMalformedFrame):
+		return ipc.NewErrorReply(req, err), nil
+	case err != nil:
+		err = fmt.Errorf("%w: %v", ErrConnection, err)
+		return ipc.NewErrorReply(req, err), err
+	case out.Err != "":
+		return ipc.NewErrorReply(req, &RemoteError{Msg: out.Err}), nil
+	default:
+		return ipc.NewReply(req, out.Body...), nil
+	}
 }
 
 // Proxy dials addr and returns the transparent port for it.

@@ -21,6 +21,7 @@ type echoObj struct {
 const (
 	opEcho = iota
 	opUpper
+	opBadReply // replies with a body item that cannot cross the wire
 )
 
 type echoArgs struct{ S string }
@@ -32,6 +33,9 @@ func startService(t *testing.T) (*ipc.Port, func()) {
 	srv := ipc.NewServer(ipc.Mach25)
 	srv.Register(ipc.KindCustom, opEcho, func(ctx *ipc.Context, obj ipc.KObject, req *ipc.Message) *ipc.Message {
 		return ipc.NewReply(req, req.Body...)
+	})
+	srv.Register(ipc.KindCustom, opBadReply, func(ctx *ipc.Context, obj ipc.KObject, req *ipc.Message) *ipc.Message {
+		return ipc.NewReply(req, struct{}{})
 	})
 	iface := mig.NewInterface(ipc.KindCustom)
 	mig.Define(iface, opUpper, "upper", func(ctx *ipc.Context, obj ipc.KObject, a *echoArgs) (*echoReply, error) {
