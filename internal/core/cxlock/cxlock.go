@@ -108,23 +108,22 @@ type Lock struct {
 	class *trace.Class
 	stat  *rwInstr
 	// acquiredAt stamps the current hold occupancy (first reader in, or
-	// writer in) in ns; protected by the interlock, nonzero only while
-	// instrumented.
+	// writer in) on the trace clock; protected by the interlock, nonzero
+	// only while instrumented.
 	acquiredAt int64
+	// ringHolds counts the outstanding holds whose acquisition was
+	// written to the flight recorder; protected by the interlock. The
+	// grant that starts an occupancy sets it from the sampled-acquisition
+	// roll (or its own wait), later grants join a recorded occupancy, and
+	// each release retires one, so releases are recorded exactly as often
+	// as acquisitions were.
+	ringHolds int32
 	// hold is the sampled identity of the current occupancy's first
 	// holder, published for waiters to blame (trace.Class.BlameWait) and
 	// cleared when the occupancy ends. Nil between holds and for
 	// unsampled holds, in which case waiters' delay accumulates as
 	// unattributed.
 	hold atomic.Pointer[trace.HoldInfo]
-}
-
-// tidOf returns t's trace id (0 for the nil thread).
-func tidOf(t *sched.Thread) uint32 {
-	if t == nil {
-		return 0
-	}
-	return t.TraceID()
 }
 
 // SetClass registers the lock with the observability layer. Call before
@@ -140,58 +139,154 @@ func (l *Lock) SetClass(c *trace.Class) { l.class = c }
 // load on the common (untraced) path.
 func (l *Lock) instrOn() bool { return l.stat != nil || l.class.On() }
 
-// recordAcquired feeds one granted hold to the per-instance sink and the
-// class profile; called outside the interlock, like the observer hooks.
-// Contended acquisitions also feed the waiter-side site profile (sampled).
-// Hot paths gate the call on instrOn, so the body assumes something is
-// listening; the On() recheck only skips the trace half for stat-only
-// instrumentation.
-func (l *Lock) recordAcquired(t *sched.Thread, contended bool, waitNs int64) {
+// recordAcquired feeds one granted hold g to the per-instance sink and
+// the class profile; called outside the interlock, like the observer
+// hooks. A waited grant reports the wait that began at waitStart; the
+// clock is read here only if the grant had no stamp and something uses
+// one. Contended acquisitions also feed the waiter-side site profile
+// (sampled). Hot paths gate the call on instrOn, so the body assumes
+// something is listening; the On() recheck only skips the trace half for
+// stat-only instrumentation.
+func (l *Lock) recordAcquired(t *sched.Thread, g grant, waited bool, waitStart int64) {
+	now := g.now
+	if now == 0 && (waited || g.ring) {
+		now = trace.Now()
+	}
+	var waitNs int64
+	if waited {
+		waitNs = now - waitStart
+	}
 	if l.stat != nil {
-		l.stat.acquired(contended, waitNs)
+		l.stat.acquired(waited, waitNs)
 	}
 	if !l.class.On() {
 		return
 	}
-	l.class.AcquiredBy(tidOf(t), contended, waitNs)
-	if contended && waitNs > 0 {
+	l.class.AcquiredAt(t.TraceID(), now, waited, waitNs, g.ring)
+	if waited && waitNs > 0 {
 		l.class.WaitSampled(1, waitNs)
 	}
 }
 
-// recordReleased feeds one release; holdNs < 0 means no occupancy sample
-// ended with this release (e.g. a reader left while others remain). h is
-// the holder identity the occupancy published, if any — its hold duration
+// recordReleased feeds one release r; r.holdNs < 0 means no occupancy
+// sample ended with this release (e.g. a reader left while others
+// remain), and r has no stamp unless the ring needs one. r.h is the
+// holder identity the occupancy published, if any — its hold duration
 // lands in the class's hold-site profile.
-func (l *Lock) recordReleased(t *sched.Thread, holdNs int64, h *trace.HoldInfo) {
+func (l *Lock) recordReleased(t *sched.Thread, r release) {
 	if l.stat != nil {
-		l.stat.released(holdNs)
+		l.stat.released(r.holdNs)
 	}
 	if !l.class.On() {
 		return
 	}
-	l.class.ReleasedBy(tidOf(t), holdNs)
-	if holdNs >= 0 {
-		l.class.EndHold(h, holdNs)
+	if r.now == 0 && r.ring {
+		r.now = trace.Now()
+	}
+	l.class.ReleasedAt(t.TraceID(), r.now, r.holdNs, r.ring)
+	if r.holdNs >= 0 {
+		l.class.EndHold(r.h, r.holdNs)
 	}
 }
 
-// publishHold samples this acquisition for holder blame: 1-in-N grants
-// capture the acquiring stack and publish it on l.hold for waiters to
-// read. Call only for the grant that starts an occupancy (writer in, or
-// first reader in) — later readers share the first-in holder's blame.
-// The On() gate here inlines into the grant paths, so untraced locks pay
-// one predictable branch rather than a call chain.
-func (l *Lock) publishHold(t *sched.Thread) {
-	if !l.class.On() {
-		return
+// grantLocked does a grant's instrumentation under the interlock. A grant
+// that starts an occupancy (writer in, or first reader in) stamps it at
+// the returned now and makes the class's sampled-acquisition roll: a
+// sampled grant publishes its holder after the interlock is released
+// (publishHold) and, like a grant that waited, is written to the flight
+// recorder as the occupancy's first recorded hold. Any other grant (a
+// joining reader, a recursive re-acquisition) needs no stamp and is
+// recorded if the occupancy is being recorded or it waited itself.
+// The gate inlines, so an untraced grant pays one branch.
+func (l *Lock) grantLocked(instr, starts, waited bool) grant {
+	if !instr {
+		return grant{}
 	}
-	l.publishHoldSampled(t)
+	return l.grantTraced(starts, waited)
 }
 
-func (l *Lock) publishHoldSampled(t *sched.Thread) {
-	if h := l.class.SampleHold(2, tidOf(t)); h != nil {
-		h.Since = nowNs()
+// grant is a grant's instrumentation record: its trace-clock stamp (0 if
+// it needed none under the interlock), whether it is a sampled
+// acquisition and whether it goes to the flight recorder.
+type grant struct {
+	now           int64
+	sampled, ring bool
+}
+
+func (l *Lock) grantTraced(starts, waited bool) (g grant) {
+	if starts {
+		g.now = trace.Now()
+		l.acquiredAt = g.now
+		g.sampled = l.class.Sample()
+		l.ringHolds = 0
+	}
+	if g.ring = g.sampled || waited || l.ringHolds > 0; g.ring {
+		l.ringHolds++
+	}
+	return g
+}
+
+// releaseLocked does a release's instrumentation under the interlock: an
+// instrumented release is recorded while recorded holds are outstanding,
+// retiring one, and a release that ends the occupancy retires its hold
+// stamp and published holder identity, returning the release stamp and
+// hold time (0 and -1 when the occupancy was not instrumented). A
+// published hold implies the occupancy was instrumented (publishing
+// requires the class to be on, which instrOn covers), so the stamp check
+// also guards the hold retire. The gate inlines, so the untraced release
+// path pays two branches.
+func (l *Lock) releaseLocked(instr, ends bool) release {
+	if !instr && (!ends || l.acquiredAt == 0) {
+		return release{holdNs: -1}
+	}
+	return l.releaseTraced(instr, ends)
+}
+
+// release is a release's instrumentation record: its trace-clock stamp
+// and the hold time of the occupancy it ended (0 and -1 if none), the
+// holder identity that occupancy published, and whether the release goes
+// to the flight recorder.
+type release struct {
+	now, holdNs int64
+	h           *trace.HoldInfo
+	ring        bool
+}
+
+func (l *Lock) releaseTraced(instr, ends bool) release {
+	r := release{holdNs: -1}
+	if instr && l.ringHolds > 0 {
+		l.ringHolds--
+		r.ring = true
+	}
+	if ends && l.acquiredAt != 0 {
+		r.now = trace.Now()
+		r.holdNs = r.now - l.acquiredAt
+		l.acquiredAt = 0
+		if l.holdPublished() {
+			r.h = l.takeHold()
+		}
+	}
+	return r
+}
+
+// restampLocked restarts the hold stamp for an upgrade whose read
+// occupancy the other readers ended while it drained, rolling for the
+// holder sample; the upgrader's flight-recorder standing carries over in
+// ringHolds. Interlock held.
+func (l *Lock) restampLocked(instr bool) (now int64, sampled bool) {
+	if !instr || l.acquiredAt != 0 {
+		return 0, false
+	}
+	now = trace.Now()
+	l.acquiredAt = now
+	return now, l.class.Sample()
+}
+
+// publishHold publishes a sampled grant's holder identity on l.hold for
+// waiters to blame: the acquiring stack, captured outside the interlock,
+// stamped with the grant's time.
+func (l *Lock) publishHold(t *sched.Thread, since int64) {
+	if h := l.class.HoldAt(1, t.TraceID(), since); h != nil {
 		l.hold.Store(h)
 	}
 }
@@ -209,9 +304,10 @@ func (l *Lock) takeHold() *trace.HoldInfo { return l.hold.Swap(nil) }
 // identity; inlines to one atomic load.
 func (l *Lock) holdPublished() bool { return l.hold.Load() != nil }
 
-// nowNs is the package clock: the machsim virtual clock when a harness is
-// installed (so time-dependent protocol state — the bias re-arm cooldown —
-// is deterministic under schedule exploration), else the host clock.
+// nowNs is the clock of the bias re-arm cooldown: the machsim virtual
+// clock when a harness is installed (so the cooldown is deterministic
+// under schedule exploration), else the host clock. Instrumentation
+// stamps use the trace clock (trace.Now).
 func nowNs() int64 {
 	if n, ok := simhook.NowNs(); ok {
 		return n
@@ -264,12 +360,12 @@ func (l *Lock) CanSleep() bool {
 // interlock and must have set l.waiting when sleeping (done here).
 func (l *Lock) wait(t *sched.Thread, round int) {
 	tr := l.class.On()
-	var start time.Time
+	var start int64
 	var blamed *trace.HoldInfo
 	var tid uint32
 	if tr {
-		start = time.Now()
-		tid = tidOf(t)
+		start = trace.Now()
+		tid = t.TraceID()
 		// Blame is pinned to the holder visible when the wait begins: by
 		// the time the wait ends the lock may have changed hands, but the
 		// delay was caused by whoever held it when we had to stop.
@@ -286,14 +382,14 @@ func (l *Lock) wait(t *sched.Thread, round int) {
 		sched.AssertWait(t, sched.Event(l))
 		l.interlock.Unlock()
 		obWaiting(l, t)
-		l.class.WaitingBy(tid)
+		l.class.WaitingAt(tid, start)
 		sched.ThreadBlock(t)
 		obDoneWaiting(l, t)
 	} else {
 		l.stats.spins.Add(1)
 		l.interlock.Unlock()
 		obWaiting(l, t)
-		l.class.WaitingBy(tid)
+		l.class.WaitingAt(tid, start)
 		if simhook.Enabled() {
 			// One spin iteration is a voluntary machsim yield: the
 			// interlock has been released, so the harness is free to run
@@ -307,8 +403,9 @@ func (l *Lock) wait(t *sched.Thread, round int) {
 		obDoneWaiting(l, t)
 	}
 	if tr {
-		waitNs := time.Since(start).Nanoseconds()
-		l.class.DoneWaitingBy(tid, waitNs)
+		now := trace.Now()
+		waitNs := now - start
+		l.class.DoneWaitingAt(tid, now, waitNs)
 		l.class.BlameWait(blamed, waitNs)
 	}
 	l.interlock.Lock() //machlock:holds — handoff: wait() returns with the interlock reacquired for its caller
@@ -345,7 +442,7 @@ func (l *Lock) wakeupLocked() {
 func (l *Lock) Write(t *sched.Thread) {
 	simhook.Yield(simhook.CxWrite, l)
 	instr := l.instrOn()
-	var waitStart time.Time
+	var waitStart int64
 	waited := false
 	l.interlock.Lock()
 	if t != nil && l.holder == t {
@@ -359,10 +456,11 @@ func (l *Lock) Write(t *sched.Thread) {
 		// Recursive acquisition by the designated holder.
 		l.depth++
 		simhook.Note(simhook.CxRecurseGrant, l, int64(l.depth))
+		g := l.grantLocked(instr, false, false)
 		l.interlock.Unlock()
 		obAcquired(l, t)
 		if instr {
-			l.recordAcquired(t, false, 0)
+			l.recordAcquired(t, g, false, 0)
 		}
 		return
 	}
@@ -372,7 +470,7 @@ func (l *Lock) Write(t *sched.Thread) {
 	round := 0
 	for l.wantWrite {
 		if instr && !waited {
-			waitStart = time.Now()
+			waitStart = trace.Now()
 			waited = true
 		}
 		l.wait(t, round)
@@ -390,7 +488,7 @@ func (l *Lock) Write(t *sched.Thread) {
 	// standing in the lock.
 	for l.readCount != 0 || l.wantUpgrade || l.biasReadersVisible() {
 		if instr && !waited {
-			waitStart = time.Now()
+			waitStart = trace.Now()
 			waited = true
 		}
 		l.wait(t, round)
@@ -399,23 +497,15 @@ func (l *Lock) Write(t *sched.Thread) {
 	l.noteBiasDrainedLocked()
 	l.stats.writes.Add(1)
 	simhook.Note(simhook.CxWriteGrant, l, 0)
-	if instr {
-		l.acquiredAt = nowNs()
-	}
+	g := l.grantLocked(instr, true, waited)
 	l.interlock.Unlock()
-	if instr {
-		// instr false implies the class is off (instrOn covers On()), so
-		// the untraced grant path skips even the sampling branch.
-		l.publishHold(t)
+	if g.sampled {
+		l.publishHold(t, g.now)
 	}
 	obAcquired(l, t)
 	simhook.Yield(simhook.CxAcquired, l)
 	if instr {
-		var waitNs int64
-		if waited {
-			waitNs = time.Since(waitStart).Nanoseconds()
-		}
-		l.recordAcquired(t, waited, waitNs)
+		l.recordAcquired(t, g, waited, waitStart)
 	}
 }
 
@@ -430,27 +520,28 @@ func (l *Lock) Read(t *sched.Thread) {
 		return
 	}
 	instr := l.instrOn()
-	var waitStart time.Time
+	var waitStart int64
 	waited := false
 	l.interlock.Lock()
 	if t != nil && l.holder == t {
 		l.readCount++
 		l.stats.reads.Add(1)
 		simhook.Note(simhook.CxReadGrantRec, l, int64(l.readCount))
-		if instr && l.acquiredAt == 0 {
-			l.acquiredAt = nowNs()
-		}
+		g := l.grantLocked(instr, l.acquiredAt == 0, false)
 		l.interlock.Unlock()
+		if g.sampled {
+			l.publishHold(t, g.now)
+		}
 		obAcquired(l, t)
 		if instr {
-			l.recordAcquired(t, false, 0)
+			l.recordAcquired(t, g, false, 0)
 		}
 		return
 	}
 	round := 0
 	for l.wantWrite || l.wantUpgrade {
 		if instr && !waited {
-			waitStart = time.Now()
+			waitStart = trace.Now()
 			waited = true
 		}
 		l.wait(t, round)
@@ -462,22 +553,15 @@ func (l *Lock) Read(t *sched.Thread) {
 	l.maybeRearmLocked()
 	// Occupancy: the hold sample spans from the first reader in to the
 	// last reader out, so only the 0→1 transition stamps the clock.
-	first := l.readCount == 1
-	if instr && first {
-		l.acquiredAt = nowNs()
-	}
+	g := l.grantLocked(instr, l.readCount == 1, waited)
 	l.interlock.Unlock()
-	if instr && first {
-		l.publishHold(t)
+	if g.sampled {
+		l.publishHold(t, g.now)
 	}
 	obAcquired(l, t)
 	simhook.Yield(simhook.CxAcquired, l)
 	if instr {
-		var waitNs int64
-		if waited {
-			waitNs = time.Since(waitStart).Nanoseconds()
-		}
-		l.recordAcquired(t, waited, waitNs)
+		l.recordAcquired(t, g, waited, waitStart)
 	}
 }
 
@@ -521,21 +605,13 @@ func (l *Lock) ReadToWrite(t *sched.Thread) bool {
 		// fails and its read hold is gone.
 		l.stats.failedUpgrades.Add(1)
 		simhook.Note(simhook.CxUpgradeFail, l, int64(l.readCount))
-		holdNs := int64(-1)
-		var h *trace.HoldInfo
-		if instr && l.readCount == 0 && l.acquiredAt != 0 {
-			holdNs = nowNs() - l.acquiredAt
-			l.acquiredAt = 0
-			if l.holdPublished() {
-				h = l.takeHold()
-			}
-		}
+		r := l.releaseLocked(instr, l.readCount == 0)
 		l.wakeupLocked()
 		l.interlock.Unlock()
 		obReleased(l, t)
 		l.class.Upgraded(false)
 		if instr {
-			l.recordReleased(t, holdNs, h)
+			l.recordReleased(t, r)
 		}
 		return true
 	}
@@ -551,13 +627,10 @@ func (l *Lock) ReadToWrite(t *sched.Thread) bool {
 	// The hold continues across the upgrade: if this thread was the only
 	// reader its occupancy stamp carries over; if other readers ended the
 	// occupancy while we drained, restart the stamp for the write hold.
-	restamped := instr && l.acquiredAt == 0
-	if restamped {
-		l.acquiredAt = nowNs()
-	}
+	now, sampled := l.restampLocked(instr)
 	l.interlock.Unlock()
-	if restamped {
-		l.publishHold(t)
+	if sampled {
+		l.publishHold(t, now)
 	}
 	l.class.Upgraded(true)
 	simhook.Yield(simhook.CxAcquired, l)
@@ -624,24 +697,12 @@ func (l *Lock) Done(t *sched.Thread) {
 		l.interlock.Unlock()
 		panic("cxlock: lock_done on lock not held")
 	}
-	holdNs := int64(-1)
-	var h *trace.HoldInfo
-	// A published hold implies the occupancy was instrumented (publishing
-	// requires the class to be on, which instrOn covers), so the stamp
-	// check also guards the hold retire — the untraced release path pays
-	// nothing here.
-	if endHold && l.acquiredAt != 0 {
-		holdNs = nowNs() - l.acquiredAt
-		l.acquiredAt = 0
-		if l.holdPublished() {
-			h = l.takeHold()
-		}
-	}
+	r := l.releaseLocked(instr, endHold)
 	l.wakeupLocked()
 	l.interlock.Unlock()
 	obReleased(l, t)
 	if instr {
-		l.recordReleased(t, holdNs, h)
+		l.recordReleased(t, r)
 	}
 }
 
@@ -663,12 +724,13 @@ func (l *Lock) TryRead(t *sched.Thread) bool {
 		l.readCount++
 		l.stats.reads.Add(1)
 		simhook.Note(simhook.CxReadGrantRec, l, int64(l.readCount))
-		if instr && l.acquiredAt == 0 {
-			l.acquiredAt = nowNs()
+		g := l.grantLocked(instr, l.acquiredAt == 0, false)
+		if g.sampled {
+			defer l.publishHold(t, g.now)
 		}
 		defer obAcquired(l, t)
 		if instr {
-			defer l.recordAcquired(t, false, 0)
+			defer l.recordAcquired(t, g, false, 0)
 		}
 		return true
 	}
@@ -679,13 +741,13 @@ func (l *Lock) TryRead(t *sched.Thread) bool {
 	l.stats.reads.Add(1)
 	simhook.Note(simhook.CxReadGrant, l, int64(l.readCount))
 	l.maybeRearmLocked()
-	if l.readCount == 1 && instr {
-		l.acquiredAt = nowNs()
-		defer l.publishHold(t)
+	g := l.grantLocked(instr, l.readCount == 1, false)
+	if g.sampled {
+		defer l.publishHold(t, g.now)
 	}
 	defer obAcquired(l, t)
 	if instr {
-		defer l.recordAcquired(t, false, 0)
+		defer l.recordAcquired(t, g, false, 0)
 	}
 	return true
 }
@@ -707,9 +769,10 @@ func (l *Lock) TryWrite(t *sched.Thread) bool {
 		}
 		l.depth++
 		simhook.Note(simhook.CxRecurseGrant, l, int64(l.depth))
+		g := l.grantLocked(instr, false, false)
 		defer obAcquired(l, t)
 		if instr {
-			defer l.recordAcquired(t, false, 0)
+			defer l.recordAcquired(t, g, false, 0)
 		}
 		return true
 	}
@@ -730,13 +793,13 @@ func (l *Lock) TryWrite(t *sched.Thread) bool {
 	l.wantWrite = true
 	l.stats.writes.Add(1)
 	simhook.Note(simhook.CxWriteGrant, l, 0)
-	if instr {
-		l.acquiredAt = nowNs()
-		defer l.publishHold(t)
+	g := l.grantLocked(instr, true, false)
+	if g.sampled {
+		defer l.publishHold(t, g.now)
 	}
 	defer obAcquired(l, t)
 	if instr {
-		defer l.recordAcquired(t, false, 0)
+		defer l.recordAcquired(t, g, false, 0)
 	}
 	return true
 }
@@ -794,13 +857,10 @@ func (l *Lock) TryReadToWrite(t *sched.Thread) bool {
 	l.noteBiasDrainedLocked()
 	l.stats.upgrades.Add(1)
 	simhook.Note(simhook.CxUpgradeGrant, l, 0)
-	restamped := l.instrOn() && l.acquiredAt == 0
-	if restamped {
-		l.acquiredAt = nowNs()
-	}
+	now, sampled := l.restampLocked(l.instrOn())
 	l.interlock.Unlock()
-	if restamped {
-		l.publishHold(t)
+	if sampled {
+		l.publishHold(t, now)
 	}
 	l.class.Upgraded(true)
 	simhook.Yield(simhook.CxAcquired, l)

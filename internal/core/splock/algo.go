@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"machlock/internal/hw"
 	"machlock/internal/machsim/simhook"
@@ -250,35 +249,28 @@ func spinYield(l *Lock) {
 }
 
 // tracedStart captures the wait-timing state the trace layer needs before
-// a contended wait: the wall start and the holder pinned for blame.
-func (l *Lock) tracedStart() (start time.Time, blamed *trace.HoldInfo, traced bool) {
+// a contended wait: the trace-clock start and the holder pinned for blame.
+func (l *Lock) tracedStart() (start int64, blamed *trace.HoldInfo, traced bool) {
 	if !l.class.On() {
-		return time.Time{}, nil, false
+		return 0, nil, false
 	}
 	blamed = l.hold.Load()
-	l.class.Waiting()
-	return time.Now(), blamed, true
+	start = trace.Now()
+	l.class.WaitingAt(0, start)
+	return start, blamed, true
 }
 
 // acquired finishes an acquisition on every algorithm path: it mirrors
 // the held state into l.state (for Locked and the unlock sanity check),
 // stamps/publishes trace state, and fans out to observers. contended
 // reports whether the acquirer waited; traced whether tracedStart ran.
-func (l *Lock) acquired(contended, traced bool, start time.Time, blamed *trace.HoldInfo) {
+func (l *Lock) acquired(contended, traced bool, start int64, blamed *trace.HoldInfo) {
 	atomic.StoreInt32(&l.state, 1)
 	if l.class.On() {
 		if traced {
-			waitNs := time.Since(start).Nanoseconds()
-			l.acquiredAt = time.Now().UnixNano()
-			l.publishHold()
-			l.class.DoneWaiting(waitNs)
-			l.class.BlameWait(blamed, waitNs)
-			l.class.Acquired(true, waitNs)
-			l.class.WaitSampled(1, waitNs)
+			l.traceWaited(start, blamed)
 		} else {
-			l.acquiredAt = time.Now().UnixNano()
-			l.publishHold()
-			l.class.Acquired(false, 0)
+			l.traceAcquired(trace.Now(), false, 0)
 		}
 	}
 	simhook.Note(simhook.SpAcquired, l, 0)
@@ -297,18 +289,10 @@ func (l *Lock) releasing() {
 		panic("splock: unlock of unlocked simple lock")
 	}
 	if l.class != nil {
-		holdNs := int64(-1)
-		var h *trace.HoldInfo
-		if at := l.acquiredAt; at != 0 {
-			l.acquiredAt = 0
-			holdNs = time.Now().UnixNano() - at
-			if l.hold.Load() != nil {
-				h = l.hold.Swap(nil)
-			}
-		}
-		l.class.Released(holdNs)
-		if holdNs >= 0 {
-			l.class.EndHold(h, holdNs)
+		e := l.endHold()
+		l.class.ReleasedAt(0, e.now, e.holdNs, e.ring)
+		if e.h != nil {
+			l.class.EndHold(e.h, e.holdNs)
 		}
 	}
 	obReleased(l)
@@ -350,7 +334,7 @@ func (a *algoState) trylock(l *Lock) bool {
 		if !atomic.CompareAndSwapInt32(&l.state, 0, 1) {
 			return false
 		}
-		l.acquired(false, false, time.Time{}, nil)
+		l.acquired(false, false, 0, nil)
 		return true
 	case Queue, Adaptive:
 		return a.trylockQueue(l)
@@ -367,7 +351,7 @@ func (a *algoState) trylock(l *Lock) bool {
 // modeling; the coherence-faithful inverted encoding lives in SimLock.)
 func (a *algoState) lockTAS(l *Lock) {
 	if atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-		l.acquired(false, false, time.Time{}, nil)
+		l.acquired(false, false, 0, nil)
 		return
 	}
 	start, blamed, traced := l.tracedStart()
@@ -386,7 +370,7 @@ func (a *algoState) lockTAS(l *Lock) {
 func (a *algoState) lockTTAS(l *Lock) {
 	if atomic.LoadInt32(&l.state) == 0 &&
 		atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-		l.acquired(false, false, time.Time{}, nil)
+		l.acquired(false, false, 0, nil)
 		return
 	}
 	start, blamed, traced := l.tracedStart()
@@ -415,7 +399,7 @@ func (a *algoState) lockQueue(l *Lock) {
 	if prev == nil {
 		// Queue was empty: we are the holder with no predecessor.
 		a.cur = n
-		l.acquired(false, false, time.Time{}, nil)
+		l.acquired(false, false, 0, nil)
 		return
 	}
 	start, blamed, traced := l.tracedStart()
@@ -526,7 +510,7 @@ func (a *algoState) trylockQueue(l *Lock) bool {
 	}
 	simhook.Note(simhook.SpEnqueued, l, 0)
 	a.cur = n
-	l.acquired(false, false, time.Time{}, nil)
+	l.acquired(false, false, 0, nil)
 	return true
 }
 
@@ -540,7 +524,7 @@ func (a *algoState) lockCohort(l *Lock) {
 	d := &a.domains[di]
 	n := getQnode()
 	prev := d.tail.Swap(n)
-	var start time.Time
+	var start int64
 	var blamed *trace.HoldInfo
 	traced := false
 	contended := prev != nil
@@ -626,6 +610,6 @@ func (a *algoState) trylockCohort(l *Lock) bool {
 		return false
 	}
 	a.curDomain = -1
-	l.acquired(false, false, time.Time{}, nil)
+	l.acquired(false, false, 0, nil)
 	return true
 }

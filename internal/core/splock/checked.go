@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"machlock/internal/trace"
 )
@@ -31,7 +30,7 @@ type Checked struct {
 
 	mu         sync.Mutex
 	holder     Holder
-	acquiredAt int64 // ns; guarded by mu, set only while tracing
+	acquiredAt int64 // trace clock; guarded by mu, set only while tracing
 
 	acquisitions atomic.Int64
 	contended    atomic.Int64
@@ -59,31 +58,38 @@ func (c *Checked) Lock(h Holder) {
 	}
 	c.mu.Unlock()
 	tr := c.class.On()
-	var waitNs int64
+	var now, waitNs int64
 	contended := false
 	if !c.l.TryLock() { //machlock:holds — wrapper: the hold escapes to Lock's caller
 		c.contended.Add(1)
 		contended = true
-		var start time.Time
+		var start int64
 		if tr {
-			start = time.Now()
-			c.class.Waiting()
+			start = trace.Now()
+			c.class.WaitingAt(0, start)
 		}
 		c.l.Lock() //machlock:holds — wrapper: the hold escapes to Lock's caller
 		if tr {
-			waitNs = time.Since(start).Nanoseconds()
-			c.class.DoneWaiting(waitNs)
+			now = trace.Now()
+			waitNs = now - start
+			c.class.DoneWaitingAt(0, now, waitNs)
 		}
+	} else if tr {
+		now = trace.Now()
 	}
+	c.acquired(h, now, contended, waitNs)
+}
+
+// acquired makes h the holder of an acquisition made at now (0 when
+// untraced). Its flight-recorder events are not sampled.
+func (c *Checked) acquired(h Holder, now int64, contended bool, waitNs int64) {
 	c.mu.Lock()
 	c.holder = h
-	if tr {
-		c.acquiredAt = time.Now().UnixNano()
-	}
+	c.acquiredAt = now
 	c.mu.Unlock()
 	h.NoteSpinAcquire()
 	c.acquisitions.Add(1)
-	c.class.Acquired(contended, waitNs)
+	c.class.AcquiredAt(0, now, contended, waitNs, true)
 }
 
 // TryLock makes a single attempt for h.
@@ -94,15 +100,11 @@ func (c *Checked) TryLock(h Holder) bool {
 	if !c.l.TryLock() { //machlock:holds — wrapper: the hold escapes to TryLock's caller
 		return false
 	}
-	c.mu.Lock()
-	c.holder = h
+	var now int64
 	if c.class.On() {
-		c.acquiredAt = time.Now().UnixNano()
+		now = trace.Now()
 	}
-	c.mu.Unlock()
-	h.NoteSpinAcquire()
-	c.acquisitions.Add(1)
-	c.class.Acquired(false, 0)
+	c.acquired(h, now, false, 0)
 	return true
 }
 
@@ -120,14 +122,16 @@ func (c *Checked) Unlock(h Holder) {
 	}
 	c.holder = nil
 	holdNs := int64(-1)
+	var now int64
 	if at := c.acquiredAt; at != 0 {
 		c.acquiredAt = 0
-		holdNs = time.Now().UnixNano() - at
+		now = trace.Now()
+		holdNs = now - at
 	}
 	c.mu.Unlock()
 	c.l.Unlock()
 	h.NoteSpinRelease()
-	c.class.Released(holdNs)
+	c.class.ReleasedAt(0, now, holdNs, holdNs >= 0)
 }
 
 // HolderName returns the name of the current holder, or "" if unheld.

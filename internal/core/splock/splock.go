@@ -29,7 +29,6 @@ package splock
 import (
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"machlock/internal/hw"
 	"machlock/internal/machsim/simhook"
@@ -58,13 +57,17 @@ type Mutex interface {
 // statistics information" of Appendix A.1, at its designed cost.
 type Lock struct {
 	state int32
+	// ringed records that the current traced acquisition was written to
+	// the flight recorder (sampled or contended), so its release is too;
+	// protected by the lock itself, like acquiredAt.
+	ringed bool
 
 	// class is the observability registration; nil means untraced.
 	// Immutable after SetClass, which must precede concurrent use.
 	class *trace.Class
-	// acquiredAt is the ns timestamp of the current traced acquisition;
-	// protected by the lock itself (written after acquire, consumed at
-	// release).
+	// acquiredAt is the trace-clock stamp of the current traced
+	// acquisition; protected by the lock itself (written after acquire,
+	// consumed at release).
 	acquiredAt int64
 	// hold is the sampled holder identity waiters blame their spin time
 	// on; published (1-in-N) after a traced acquisition, cleared at
@@ -140,29 +143,21 @@ func (l *Lock) Lock() {
 // waits and stamps the acquisition for the hold-time sample at unlock.
 func (l *Lock) lockTraced() {
 	if atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-		l.acquiredAt = time.Now().UnixNano()
-		l.publishHold()
-		l.class.Acquired(false, 0)
+		l.traceAcquired(trace.Now(), false, 0)
 		simhook.Note(simhook.SpAcquired, l, 0)
 		obAcquired(l, false)
 		return
 	}
-	start := time.Now()
+	start := trace.Now()
 	// Blame is pinned to the holder visible when the spin began; by the
 	// time we win the lock the blame target has (by definition) released.
 	blamed := l.hold.Load()
-	l.class.Waiting()
+	l.class.WaitingAt(0, start)
 	obWaiting(l)
 	for {
 		if atomic.LoadInt32(&l.state) == 0 &&
 			atomic.CompareAndSwapInt32(&l.state, 0, 1) {
-			waitNs := time.Since(start).Nanoseconds()
-			l.acquiredAt = time.Now().UnixNano()
-			l.publishHold()
-			l.class.DoneWaiting(waitNs)
-			l.class.BlameWait(blamed, waitNs)
-			l.class.Acquired(true, waitNs)
-			l.class.WaitSampled(1, waitNs)
+			l.traceWaited(start, blamed)
 			simhook.Note(simhook.SpAcquired, l, 0)
 			obDoneWaiting(l)
 			obAcquired(l, true)
@@ -176,16 +171,72 @@ func (l *Lock) lockTraced() {
 	}
 }
 
-// publishHold samples this acquisition for holder blame (1-in-N captures
-// the acquiring stack); called by the new holder right after the
-// test-and-set, so the store is ordered before any waiter's blame load
-// could matter. Spin locks have no thread identity, so the published tid
-// is 0.
-func (l *Lock) publishHold() {
-	if h := l.class.SampleHold(1, 0); h != nil {
-		h.Since = time.Now().UnixNano()
-		l.hold.Store(h)
+// traceAcquired records a traced acquisition the new holder made at now
+// (one trace-clock read): the hold stamp, the sampled-acquisition roll —
+// a sampled acquisition publishes its holder stack for waiters to blame
+// and, like a contended one, is written to the flight recorder together
+// with its release — and the class profile. Called right after the
+// test-and-set, so the HoldInfo store is ordered before any waiter's
+// blame load could matter. Spin locks have no thread identity, so the
+// published tid is 0.
+func (l *Lock) traceAcquired(now int64, contended bool, waitNs int64) {
+	l.acquiredAt = now
+	sampled := l.class.Sample()
+	if sampled {
+		if h := l.class.HoldAt(1, 0, now); h != nil {
+			l.hold.Store(h)
+		}
 	}
+	l.ringed = sampled || contended
+	l.class.AcquiredAt(0, now, contended, waitNs, l.ringed)
+}
+
+// traceWaited records a contended acquisition whose wait began at start:
+// the end of the wait, the blame on the holder pinned when it began, and
+// the acquisition itself, all stamped by one clock read.
+func (l *Lock) traceWaited(start int64, blamed *trace.HoldInfo) {
+	now := trace.Now()
+	waitNs := now - start
+	l.class.DoneWaitingAt(0, now, waitNs)
+	l.class.BlameWait(blamed, waitNs)
+	l.traceAcquired(now, true, waitNs)
+	l.class.WaitSampled(2, waitNs)
+}
+
+// holdEnd is a traced hold retired by its holder just before the lock
+// changes hands (see endHold), fed to the class profile once the lock is
+// released.
+type holdEnd struct {
+	now    int64
+	holdNs int64 // -1: the acquisition was not traced
+	h      *trace.HoldInfo
+	ring   bool
+}
+
+// endHold consumes the acquisition stamp and the published HoldInfo. The
+// stamp is consumed unconditionally so a toggle of tracing mid-hold
+// cannot leave a stale timestamp behind. A published hold implies a
+// traced acquisition, which always stamps, so the hold retire nests under
+// the stamp check and the untraced unlock pays one inlined load for it —
+// not even a clock read.
+func (l *Lock) endHold() holdEnd {
+	if l.acquiredAt == 0 {
+		return holdEnd{holdNs: -1}
+	}
+	return l.retireHold()
+}
+
+// retireHold is endHold's traced half. Load-then-swap: the common unlock
+// (no hold published — unsampled) pays one plain load, not an atomic RMW.
+// Not racy: only the current holder publishes, and we are the holder.
+func (l *Lock) retireHold() holdEnd {
+	e := holdEnd{now: trace.Now(), ring: l.ringed}
+	e.holdNs = e.now - l.acquiredAt
+	l.acquiredAt = 0
+	if l.hold.Load() != nil {
+		e.h = l.hold.Swap(nil)
+	}
+	return e
 }
 
 // Unlock releases the lock (simple_unlock). Unlocking an unlocked lock
@@ -200,29 +251,13 @@ func (l *Lock) Unlock() {
 		return
 	}
 	if l.class != nil {
-		// Consume the acquisition stamp unconditionally so a toggle of
-		// tracing mid-hold cannot leave a stale timestamp behind. A
-		// published hold implies a traced acquisition, which always
-		// stamps, so the hold retire nests under the stamp check and the
-		// untraced unlock pays nothing for it. Load-then-swap: the common
-		// unlock (no hold published — tracing off or unsampled) pays one
-		// plain load, not an atomic RMW. Not racy: only the current
-		// holder publishes, and we are the holder.
-		holdNs := int64(-1)
-		var h *trace.HoldInfo
-		if at := l.acquiredAt; at != 0 {
-			l.acquiredAt = 0
-			holdNs = time.Now().UnixNano() - at
-			if l.hold.Load() != nil {
-				h = l.hold.Swap(nil)
-			}
-		}
+		e := l.endHold()
 		if atomic.SwapInt32(&l.state, 0) != 1 {
 			panic("splock: unlock of unlocked simple lock")
 		}
-		l.class.Released(holdNs)
-		if holdNs >= 0 {
-			l.class.EndHold(h, holdNs)
+		l.class.ReleasedAt(0, e.now, e.holdNs, e.ring)
+		if e.h != nil {
+			l.class.EndHold(e.h, e.holdNs)
 		}
 		simhook.Note(simhook.SpReleased, l, 0)
 		obReleased(l)
@@ -252,9 +287,7 @@ func (l *Lock) TryLock() bool {
 	}
 	simhook.Note(simhook.SpAcquired, l, 0)
 	if l.class.On() {
-		l.acquiredAt = time.Now().UnixNano()
-		l.publishHold()
-		l.class.Acquired(false, 0)
+		l.traceAcquired(trace.Now(), false, 0)
 	}
 	obAcquired(l, false)
 	return true

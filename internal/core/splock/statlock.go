@@ -2,7 +2,6 @@ package splock
 
 import (
 	"sync/atomic"
-	"time"
 
 	"machlock/internal/stats"
 	"machlock/internal/trace"
@@ -16,13 +15,15 @@ import (
 // coarse locks experiment E2 is about.
 //
 // The accounting costs two clock reads per critical section; use the plain
-// Lock where that matters and this one while hunting contention.
+// Lock where that matters and this one while hunting contention. Its
+// flight-recorder events are not sampled: every acquire/release pair is
+// recorded while tracing is on.
 type StatLock struct {
 	name  string
 	class *trace.Class
 	l     Lock
 
-	acquiredAt atomic.Int64 // ns timestamp of current acquisition
+	acquiredAt atomic.Int64 // trace-clock stamp of the current acquisition
 
 	acquisitions atomic.Int64
 	contended    atomic.Int64
@@ -44,21 +45,25 @@ func (s *StatLock) Name() string { return s.name }
 // Lock acquires the lock, recording wait time if contended.
 func (s *StatLock) Lock() {
 	if s.l.TryLock() { //machlock:holds — wrapper: the hold escapes to Lock's caller
-		s.acquisitions.Add(1)
-		s.acquiredAt.Store(time.Now().UnixNano())
-		s.class.Acquired(false, 0)
+		s.acquired(trace.Now(), false, 0)
 		return
 	}
 	s.contended.Add(1)
-	s.class.Waiting()
-	start := time.Now()
+	start := trace.Now()
+	s.class.WaitingAt(0, start)
 	s.l.Lock() //machlock:holds — wrapper: the hold escapes to Lock's caller
-	waitNs := time.Since(start).Nanoseconds()
+	now := trace.Now()
+	waitNs := now - start
 	s.wait.Observe(waitNs)
+	s.class.DoneWaitingAt(0, now, waitNs)
+	s.acquired(now, true, waitNs)
+}
+
+// acquired accounts one acquisition made at now.
+func (s *StatLock) acquired(now int64, contended bool, waitNs int64) {
 	s.acquisitions.Add(1)
-	s.acquiredAt.Store(time.Now().UnixNano())
-	s.class.DoneWaiting(waitNs)
-	s.class.Acquired(true, waitNs)
+	s.acquiredAt.Store(now)
+	s.class.AcquiredAt(0, now, contended, waitNs, true)
 }
 
 // TryLock makes a single attempt.
@@ -66,9 +71,7 @@ func (s *StatLock) TryLock() bool {
 	if !s.l.TryLock() { //machlock:holds — wrapper: the hold escapes to TryLock's caller
 		return false
 	}
-	s.acquisitions.Add(1)
-	s.acquiredAt.Store(time.Now().UnixNano())
-	s.class.Acquired(false, 0)
+	s.acquired(trace.Now(), false, 0)
 	return true
 }
 
@@ -77,12 +80,14 @@ func (s *StatLock) TryLock() bool {
 // unlock cannot observe a stale timestamp and record a bogus hold sample.
 func (s *StatLock) Unlock() {
 	holdNs := int64(-1)
+	var now int64
 	if at := s.acquiredAt.Swap(0); at != 0 {
-		holdNs = time.Now().UnixNano() - at
+		now = trace.Now()
+		holdNs = now - at
 		s.hold.Observe(holdNs)
 	}
 	s.l.Unlock()
-	s.class.Released(holdNs)
+	s.class.ReleasedAt(0, now, holdNs, holdNs >= 0)
 }
 
 var _ Mutex = (*StatLock)(nil)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"machlock/internal/core/cxlock"
+	"machlock/internal/core/splock"
 	"machlock/internal/sched"
 	"machlock/internal/trace"
 )
@@ -285,4 +286,29 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("JSON incidents malformed:\n%s", body)
 	}
 	get("/debug/machlock/ring") // non-empty is asserted inside get
+}
+
+// TestLongHoldSeenWithoutSampling: the long-hold check reads the exact
+// hold histogram, not the sampled flight recorder, so a long hold files
+// an incident even with stack sampling (and so ring sampling) off.
+func TestLongHoldSeenWithoutSampling(t *testing.T) {
+	trace.SetStackSampling(0)
+	t.Cleanup(func() { trace.SetStackSampling(trace.DefaultStackSampleRate) })
+	m := New(Config{Interval: time.Hour, LongHoldNs: int64(time.Millisecond)})
+	startMonitor(t, m)
+
+	cls := trace.NewClass("montest", "montest.unsampled", trace.KindSpin)
+	var l splock.Lock
+	l.SetClass(cls)
+	l.Lock()
+	time.Sleep(5 * time.Millisecond)
+	l.Unlock()
+
+	m.Pass()
+	for _, in := range m.Incidents().Snapshot() {
+		if in.Kind == KindLongHold && in.Class == "montest/montest.unsampled" {
+			return
+		}
+	}
+	t.Fatalf("long-hold incident not filed with sampling off; log:\n%v", m.Incidents().Snapshot())
 }

@@ -81,6 +81,10 @@ type Thread struct {
 	name string
 	tid  uint32 // trace.RegisterThread id, for timeline tracks and blame
 
+	// span is the thread's innermost open trace span (trace.SpanOwner);
+	// touched only by the thread itself.
+	span trace.SpanSlot
+
 	mu     sync.Mutex
 	cond   *sync.Cond
 	state  threadState
@@ -144,10 +148,25 @@ func (t *Thread) Join() {
 // Name returns the thread's name.
 func (t *Thread) Name() string { return t.name }
 
-// TraceID returns the thread's trace id (see trace.RegisterThread). It
-// satisfies trace.Identifiable, so spans opened by this thread land on its
-// timeline track and lock events it records carry its identity.
-func (t *Thread) TraceID() uint32 { return t.tid }
+// TraceID returns the thread's trace id (see trace.RegisterThread), 0 for
+// the nil thread. Lock events the thread records carry it, and spans it
+// opens land on its timeline track.
+func (t *Thread) TraceID() uint32 {
+	if t == nil {
+		return 0
+	}
+	return t.tid
+}
+
+// SpanSlot returns the thread's innermost-open-span slot, making the
+// thread a trace.SpanOwner. The nil thread has no slot, so spans opened
+// on its behalf are anonymous and wait crediting on it is inert.
+func (t *Thread) SpanSlot() *trace.SpanSlot {
+	if t == nil {
+		return nil
+	}
+	return &t.span
+}
 
 // String implements fmt.Stringer.
 func (t *Thread) String() string { return "thread(" + t.name + ")" }

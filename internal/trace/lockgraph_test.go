@@ -39,13 +39,13 @@ func TestLockGraphRecordsNestedAcquisition(t *testing.T) {
 	inner := NewClass("graphtest", "vm.object", KindSpin)  // canonical name
 	other := NewClass("graphtest", "ipc.port", KindObject) // never nested
 	for i := 0; i < 3; i++ {
-		outer.AcquiredBy(1, false, 0)
-		inner.AcquiredBy(1, false, 0)
-		inner.ReleasedBy(1, 10)
-		outer.ReleasedBy(1, 20)
+		outer.AcquiredAt(1, Now(), false, 0, true)
+		inner.AcquiredAt(1, Now(), false, 0, true)
+		inner.ReleasedAt(1, Now(), 10, true)
+		outer.ReleasedAt(1, Now(), 20, true)
 	}
-	other.AcquiredBy(1, false, 0)
-	other.ReleasedBy(1, 5)
+	other.AcquiredAt(1, Now(), false, 0, true)
+	other.ReleasedAt(1, Now(), 5, true)
 
 	g := LockGraphSnapshot("test")
 	if err := g.Validate(); err != nil {

@@ -16,9 +16,9 @@ func TestPprofRoundTrip(t *testing.T) {
 	withSampling(t, 1)
 	c := testClass(t, KindComplex)
 
-	h := c.SampleHold(0, 3)
+	h := c.HoldAt(0, 3, Now())
 	if h == nil {
-		t.Fatal("SampleHold returned nil at rate 1")
+		t.Fatal("HoldAt captured no stack")
 	}
 	c.EndHold(h, 2000)
 	c.BlameWait(h, 900)

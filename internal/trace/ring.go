@@ -2,9 +2,9 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync/atomic"
-	"time"
 	"unsafe"
 )
 
@@ -64,7 +64,7 @@ func (o Op) String() string {
 
 // Event is one decoded flight-recorder entry.
 type Event struct {
-	TimeNs int64  // wall-clock nanoseconds at recording
+	TimeNs int64  // trace clock (Now) at recording: Unix ns, monotonic since start
 	Class  *Class // registered class (nil only if the registry was reset)
 	Op     Op
 	Arg    int64  // op-specific payload, see the Op constants
@@ -99,10 +99,12 @@ type slot struct {
 }
 
 // shard is one per-goroutine-sharded ring. The pad keeps hot cursors of
-// neighbouring shards off one cache line.
+// neighbouring shards off one cache line. len(slots) is a power of two and
+// mask is len(slots)-1, so the slot index is a mask, not a division.
 type shard struct {
 	pos   atomic.Uint64
 	_     [7]uint64
+	mask  uint64
 	slots []slot
 }
 
@@ -117,13 +119,17 @@ const nshards = 16
 // DefaultRingCapacity is the default number of retained events per shard.
 const DefaultRingCapacity = 2048
 
+// newRing builds a recorder of perShard slots per shard, rounded up to a
+// power of two.
 func newRing(perShard int) *ring {
-	if perShard < 1 {
-		perShard = 1
+	n := 1
+	if perShard > 1 {
+		n = 1 << bits.Len(uint(perShard-1))
 	}
 	r := &ring{shards: make([]shard, nshards)}
 	for i := range r.shards {
-		r.shards[i].slots = make([]slot, perShard)
+		r.shards[i].slots = make([]slot, n)
+		r.shards[i].mask = uint64(n - 1)
 	}
 	return r
 }
@@ -133,9 +139,9 @@ var rec atomic.Pointer[ring]
 func init() { rec.Store(newRing(DefaultRingCapacity)) }
 
 // SetRingCapacity replaces the flight recorder with an empty one retaining
-// n events per shard (n*16 total). Call while tracing is disabled; events
-// recorded concurrently with the swap may land in the old ring and be
-// lost.
+// n events per shard (n*16 total), n rounded up to a power of two. Call
+// while tracing is disabled; events recorded concurrently with the swap
+// may land in the old ring and be lost.
 func SetRingCapacity(n int) { rec.Store(newRing(n)) }
 
 // ResetEvents discards all recorded events, keeping the current capacity.
@@ -154,16 +160,17 @@ func shardHint() int {
 	return int((h >> 40) & (nshards - 1))
 }
 
-// emit records one event. Callers have already verified tracing is on;
+// emit records one event stamped now (the caller's Now reading; emit never
+// reads the clock). Callers have already verified tracing is on;
 // recording is wait-free: one atomic cursor bump plus atomic slot stores.
 // tid is the recording thread's trace id (0 = anonymous); class ids above
 // 24 bits would collide with it, far beyond any real registry size.
-func emit(classID uint32, op Op, arg int64, tid uint32) {
+func emit(classID uint32, op Op, arg int64, tid uint32, now int64) {
 	sh := &rec.Load().shards[shardHint()]
 	t := sh.pos.Add(1)
-	sl := &sh.slots[(t-1)%uint64(len(sh.slots))]
+	sl := &sh.slots[(t-1)&sh.mask]
 	sl.seq.Store(0) // invalidate while the payload is in flux
-	sl.time.Store(time.Now().UnixNano())
+	sl.time.Store(now)
 	sl.meta.Store(uint64(tid)<<32 | uint64(classID&0xffffff)<<8 | uint64(op))
 	sl.arg.Store(arg)
 	sl.seq.Store(t)
@@ -175,6 +182,7 @@ func emit(classID uint32, op Op, arg int64, tid uint32) {
 // first.
 func Events(max int) []Event {
 	r := rec.Load()
+	classes := Classes() // one registry snapshot resolves every slot
 	var out []Event
 	for si := range r.shards {
 		sh := &r.shards[si]
@@ -190,9 +198,17 @@ func Events(max int) []Event {
 			if sl.seq.Load() != seq {
 				continue // overwritten while reading
 			}
+			id := int(meta>>8) & 0xffffff
+			if id >= len(classes) {
+				classes = Classes() // registered after the snapshot
+			}
+			var c *Class
+			if id < len(classes) {
+				c = classes[id]
+			}
 			out = append(out, Event{
 				TimeNs: ts,
-				Class:  classByID(uint32(meta>>8) & 0xffffff),
+				Class:  c,
 				Op:     Op(meta & 0xff),
 				Arg:    arg,
 				TID:    uint32(meta >> 32),

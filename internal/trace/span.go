@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "sync"
 
 // This file is the operation-span half of the attribution layer: a
 // lightweight begin/end API that brackets one kernel operation (a vm fault,
@@ -16,7 +12,8 @@ import (
 // Wait crediting arrives through the lock observers — see
 // internal/opspan, which bridges the cxlock observer fan-out to
 // SpanWaitStart/SpanWaitEnd — so span accounting adds nothing to lock hot
-// paths: with no span open the bridge is one atomic load.
+// paths. The innermost open span lives on the thread itself (SpanOwner),
+// so finding it is a field load, not a lookup in a shared table.
 
 // thread registry -----------------------------------------------------------
 
@@ -55,10 +52,22 @@ func threadCount() int {
 	return len(threadTab.names)
 }
 
-// Identifiable is implemented by thread handles that carry a trace id
-// (sched.Thread does). BeginSpan accepts any owner; identifiable owners
-// get their spans stamped onto their timeline track.
-type Identifiable interface{ TraceID() uint32 }
+// SpanOwner is a thread handle that carries a trace id and keeps its own
+// innermost-open-span slot (sched.Thread does). Spans opened on behalf of
+// an owner are stamped onto its timeline track and credited its lock
+// waits. A nil handle — including a typed nil such as a nil
+// *sched.Thread — must return a nil slot, which makes every span call on
+// it inert.
+type SpanOwner interface {
+	TraceID() uint32
+	SpanSlot() *SpanSlot
+}
+
+// SpanSlot holds a thread's innermost open span. It belongs to the thread
+// that owns it: only that thread opens and closes spans in it and credits
+// waits through it, so it needs no synchronization. The zero value is
+// empty.
+type SpanSlot struct{ cur *Span }
 
 // op classes ---------------------------------------------------------------
 
@@ -72,14 +81,13 @@ func NewOp(pkg, name string) *Class { return NewClass(pkg, name, KindOp) }
 
 // spans --------------------------------------------------------------------
 
-// Span is one open operation. All fields are owned by the operating thread;
-// only the registry that finds "the current span of thread X" is shared.
+// Span is one open operation. All fields are owned by the operating thread.
 // The zero Span and the nil Span are inert, so instrumented operations can
 // call BeginSpan/End unconditionally — with tracing disabled BeginSpan
 // returns nil and End is a nil-receiver no-op.
 type Span struct {
 	op     *Class
-	owner  any
+	slot   *SpanSlot // owner's slot; nil for anonymous spans
 	parent *Span
 	tid    uint32
 
@@ -88,34 +96,32 @@ type Span struct {
 	waitAt  int64 // nonzero while a lock wait is in progress
 }
 
-// curSpans maps owner (an opaque thread handle) to its innermost open span.
-var curSpans sync.Map // any -> *Span
-
-// openSpans gates the wait-crediting hooks: with no span open anywhere they
-// return after one atomic load.
-var openSpans atomic.Int64
+// slotOf returns owner's span slot, nil for a nil or typed-nil owner.
+func slotOf(owner SpanOwner) *SpanSlot {
+	if owner == nil {
+		return nil
+	}
+	return owner.SpanSlot()
+}
 
 // BeginSpan opens a span for an operation of class op on behalf of owner
-// (normally a *sched.Thread; it must be the handle the thread also passes
-// to its locks, since wait crediting matches on it). Returns nil — and
-// records nothing — while tracing is disabled. owner may be nil for
-// anonymous operations: latency is still recorded, but lock waits cannot
-// be credited and the span appears on the anonymous timeline track.
-func BeginSpan(owner any, op *Class) *Span {
+// (normally the *sched.Thread performing it; it must be the handle the
+// thread also passes to its locks, since wait crediting goes through its
+// slot). Returns nil — and records nothing — while tracing is disabled.
+// owner may be nil for anonymous operations: latency is still recorded,
+// but lock waits cannot be credited and the span appears on the anonymous
+// timeline track.
+func BeginSpan(owner SpanOwner, op *Class) *Span {
 	if !op.On() {
 		return nil
 	}
-	s := &Span{op: op, owner: owner, startNs: time.Now().UnixNano()}
-	if id, ok := owner.(Identifiable); ok {
-		s.tid = id.TraceID()
+	s := &Span{op: op, startNs: Now()}
+	if s.slot = slotOf(owner); s.slot != nil {
+		s.tid = owner.TraceID()
+		s.parent = s.slot.cur
+		s.slot.cur = s
 	}
-	if owner != nil {
-		if prev, loaded := curSpans.Swap(owner, s); loaded {
-			s.parent = prev.(*Span)
-		}
-	}
-	openSpans.Add(1)
-	emit(op.id, OpSpanBegin, 0, s.tid)
+	emit(op.id, OpSpanBegin, 0, s.tid, s.startNs)
 	return s
 }
 
@@ -127,7 +133,7 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	now := time.Now().UnixNano()
+	now := Now()
 	if s.waitAt != 0 {
 		// A wait is still open (End inside a wait window should not
 		// happen, but truncate rather than lose the time).
@@ -147,16 +153,13 @@ func (s *Span) End() {
 	if s.waitNs > 0 {
 		c.contended.Inc()
 	}
-	if s.owner != nil {
+	if s.slot != nil {
 		if s.parent != nil {
 			s.parent.waitNs += s.waitNs
-			curSpans.Store(s.owner, s.parent)
-		} else {
-			curSpans.Delete(s.owner)
 		}
+		s.slot.cur = s.parent
 	}
-	openSpans.Add(-1)
-	emit(c.id, OpSpanEnd, total, s.tid)
+	emit(c.id, OpSpanEnd, total, s.tid, now)
 }
 
 // WaitNs returns the lock wait accumulated so far (for tests).
@@ -176,55 +179,37 @@ func (s *Span) Op() *Class {
 }
 
 // CurrentSpan returns owner's innermost open span, or nil.
-func CurrentSpan(owner any) *Span {
-	if owner == nil {
-		return nil
-	}
-	if v, ok := curSpans.Load(owner); ok {
-		return v.(*Span)
+func CurrentSpan(owner SpanOwner) *Span {
+	if sl := slotOf(owner); sl != nil {
+		return sl.cur
 	}
 	return nil
 }
 
 // SpanWaitStart marks the beginning of a lock wait by owner. Called by the
 // observer bridge (internal/opspan) from the waiting thread itself, so the
-// span's fields need no synchronization. One atomic load when no spans are
-// open anywhere.
-func SpanWaitStart(owner any) {
-	if openSpans.Load() == 0 || owner == nil {
-		return
-	}
-	if v, ok := curSpans.Load(owner); ok {
-		s := v.(*Span)
-		if s.waitAt == 0 {
-			s.waitAt = time.Now().UnixNano()
-		}
+// span's fields need no synchronization. With no span open on owner it is
+// a field load.
+func SpanWaitStart(owner SpanOwner) {
+	if s := CurrentSpan(owner); s != nil && s.waitAt == 0 {
+		s.waitAt = Now()
 	}
 }
 
 // SpanWaitEnd marks the end of a lock wait by owner, crediting the elapsed
 // time to the innermost open span.
-func SpanWaitEnd(owner any) {
-	if openSpans.Load() == 0 || owner == nil {
-		return
-	}
-	if v, ok := curSpans.Load(owner); ok {
-		s := v.(*Span)
-		if s.waitAt != 0 {
-			s.waitNs += time.Now().UnixNano() - s.waitAt
-			s.waitAt = 0
-		}
+func SpanWaitEnd(owner SpanOwner) {
+	if s := CurrentSpan(owner); s != nil && s.waitAt != 0 {
+		s.waitNs += Now() - s.waitAt
+		s.waitAt = 0
 	}
 }
 
 // SpanAddWait credits ns of lock wait directly to owner's innermost open
 // span — for call sites that know the duration but cannot bracket it.
-func SpanAddWait(owner any, ns int64) {
-	if openSpans.Load() == 0 || owner == nil || ns <= 0 {
-		return
-	}
-	if v, ok := curSpans.Load(owner); ok {
-		v.(*Span).waitNs += ns
+func SpanAddWait(owner SpanOwner, ns int64) {
+	if s := CurrentSpan(owner); s != nil && ns > 0 {
+		s.waitNs += ns
 	}
 }
 

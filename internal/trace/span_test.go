@@ -27,7 +27,7 @@ func TestThreadRegistry(t *testing.T) {
 func TestSpanDisabledAndNil(t *testing.T) {
 	Disable()
 	op := opClass(t, "-op")
-	s := BeginSpan(stubOwner(1), op)
+	s := BeginSpan(newStubOwner(1), op)
 	if s != nil {
 		t.Fatal("BeginSpan returned a span while tracing disabled")
 	}
@@ -36,9 +36,9 @@ func TestSpanDisabledAndNil(t *testing.T) {
 		t.Fatal("nil span accessors not inert")
 	}
 	// Wait hooks with no open span anywhere must be one-load no-ops.
-	SpanWaitStart(stubOwner(1))
-	SpanWaitEnd(stubOwner(1))
-	SpanAddWait(stubOwner(1), 100)
+	SpanWaitStart(newStubOwner(1))
+	SpanWaitEnd(newStubOwner(1))
+	SpanAddWait(newStubOwner(1), 100)
 	if op.Snapshot().Acquisitions != 0 {
 		t.Fatal("disabled span recorded")
 	}
@@ -52,7 +52,7 @@ func TestSpanNestingAndWaitPropagation(t *testing.T) {
 	defer Disable()
 	outerOp := opClass(t, "-outer")
 	innerOp := opClass(t, "-inner")
-	owner := stubOwner(RegisterThread(t.Name()))
+	owner := newStubOwner(RegisterThread(t.Name()))
 
 	outer := BeginSpan(owner, outerOp)
 	if CurrentSpan(owner) != outer {
@@ -122,7 +122,7 @@ func TestSpanWaitTruncatedAtEnd(t *testing.T) {
 	Enable()
 	defer Disable()
 	op := opClass(t, "-op")
-	owner := stubOwner(RegisterThread(t.Name()))
+	owner := newStubOwner(RegisterThread(t.Name()))
 	s := BeginSpan(owner, op)
 	SpanWaitStart(owner)
 	time.Sleep(time.Millisecond)
@@ -168,8 +168,8 @@ func TestSpanConcurrentOwners(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		owner := stubOwner(RegisterThread(t.Name()))
-		go func(owner stubOwner) {
+		owner := newStubOwner(RegisterThread(t.Name()))
+		go func(owner *stubOwner) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				outer := BeginSpan(owner, outerOp)

@@ -172,7 +172,7 @@ func internStack(pcs []uintptr) *Stack {
 // CaptureStack captures and interns the calling stack, skipping skip frames
 // beyond CaptureStack itself. It ignores the sampling rate — use it for
 // deterministic capture in tests and tools; instrumented hot paths go
-// through Class.SampleHold / Class.WaitSampled instead.
+// through Class.Sample and HoldAt / Class.WaitSampled instead.
 func CaptureStack(skip int) *Stack {
 	var pcs [maxStackDepth]uintptr
 	n := runtime.Callers(skip+2, pcs[:])
@@ -182,9 +182,10 @@ func CaptureStack(skip int) *Stack {
 	return internStack(pcs[:n])
 }
 
-// stackRate is the sampling divisor: 1-in-rate sampled acquisitions capture
-// a stack. 0 disables stack capture entirely (profiles stay empty); 1
-// captures every acquisition (tests, short diagnostic sessions).
+// stackRate is the sampling divisor: 1-in-rate acquisitions are sampled —
+// they capture a stack and write their acquire/release pair to the flight
+// recorder. 0 disables stack capture and records only the always-recorded
+// events; 1 samples every acquisition (tests, short diagnostic sessions).
 var stackRate atomic.Uint32
 
 // DefaultStackSampleRate is the rate installed at init: cheap enough to
@@ -194,8 +195,8 @@ const DefaultStackSampleRate = 16
 
 func init() { stackRate.Store(DefaultStackSampleRate) }
 
-// SetStackSampling sets the stack sampling divisor (see stackRate). Takes
-// effect immediately; n <= 0 disables capture.
+// SetStackSampling sets the sampling divisor (see stackRate). Takes effect
+// immediately; n <= 0 disables capture.
 func SetStackSampling(n int) {
 	if n < 0 {
 		n = 0
@@ -206,16 +207,25 @@ func SetStackSampling(n int) {
 // StackSampling returns the current divisor (0 = disabled).
 func StackSampling() int { return int(stackRate.Load()) }
 
-// sampleFires rolls the per-class sampling counter; deterministic (the 1st,
-// rate+1-th, ... events of each class fire), so tests with rate 1 capture
+// rollFires advances a per-class sampling counter and reports whether this
+// event is the 1-in-StackSampling one; deterministic (the 1st, rate+1-th,
+// ... events of each counter fire), so tests with rate 1 capture
 // everything.
-func (c *Class) sampleFires() bool {
+func rollFires(ctr *atomic.Uint64) bool {
 	rate := stackRate.Load()
 	if rate == 0 {
 		return false
 	}
-	return c.sampleCtr.Add(1)%uint64(rate) == 1 || rate == 1
+	return ctr.Add(1)%uint64(rate) == 1 || rate == 1
 }
+
+// Sample makes the class's 1-in-StackSampling roll for one uncontended
+// acquisition and reports whether it is a sampled acquisition: one that
+// captures its holder stack (HoldAt), publishes the HoldInfo for waiters
+// to blame, and writes its acquire/release pair to the flight recorder.
+// Unsampled acquisitions still update every counter and histogram. False
+// while tracing is off.
+func (c *Class) Sample() bool { return c.On() && rollFires(&c.sampleCtr) }
 
 // HoldInfo is what a sampled holder publishes for waiters to blame: the
 // acquisition stack, the holder's thread id, and the acquisition time.
@@ -224,23 +234,20 @@ func (c *Class) sampleFires() bool {
 type HoldInfo struct {
 	Stack *Stack
 	TID   uint32
-	Since int64 // ns timestamp of the acquisition
+	Since int64 // trace-clock (Now) stamp of the acquisition
 }
 
-// SampleHold decides whether this acquisition is sampled and, if so,
-// captures the holder's stack: returns nil for unsampled acquisitions (the
-// common case). skip counts frames above SampleHold's caller to drop.
+// HoldAt captures the holder identity of a sampled acquisition (see
+// Sample) made by thread tid at since; skip counts frames above HoldAt's
+// caller to drop. Returns nil only if the stack walk came back empty.
 // Call outside the lock's interlock — capture walks the stack.
-func (c *Class) SampleHold(skip int, tid uint32) *HoldInfo {
-	if !c.On() || !c.sampleFires() {
-		return nil
-	}
+func (c *Class) HoldAt(skip int, tid uint32, since int64) *HoldInfo {
 	var pcs [maxStackDepth]uintptr
 	n := runtime.Callers(skip+2, pcs[:])
 	if n == 0 {
 		return nil
 	}
-	return &HoldInfo{Stack: internStack(pcs[:n]), TID: tid, Since: 0}
+	return &HoldInfo{Stack: internStack(pcs[:n]), TID: tid, Since: since}
 }
 
 // EndHold accumulates a sampled hold into the class's hold-site profile.
@@ -273,7 +280,7 @@ func (c *Class) BlameWait(h *HoldInfo, waitNs int64) {
 // rate. Call it from the slow path only (the caller has already waited
 // waitNs > 0 ns, so the capture cost is noise).
 func (c *Class) WaitSampled(skip int, waitNs int64) {
-	if !c.On() || !c.sampleFires() {
+	if !c.On() || !rollFires(&c.sampleCtr) {
 		return
 	}
 	var pcs [maxStackDepth]uintptr

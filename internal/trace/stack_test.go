@@ -55,8 +55,8 @@ func TestSamplingRateGatesCapture(t *testing.T) {
 
 	// Rate 0 disables capture entirely.
 	withSampling(t, 0)
-	if h := c.SampleHold(0, 1); h != nil {
-		t.Fatal("SampleHold fired with sampling disabled")
+	if c.Sample() {
+		t.Fatal("Sample fired with sampling disabled")
 	}
 	c.WaitSampled(0, 100)
 	if got := c.Sites(SiteWaits); len(got) != 0 {
@@ -66,15 +66,15 @@ func TestSamplingRateGatesCapture(t *testing.T) {
 	// Rate 1 fires on every event.
 	SetStackSampling(1)
 	for i := 0; i < 3; i++ {
-		if c.SampleHold(0, 1) == nil {
-			t.Fatalf("SampleHold missed event %d at rate 1", i)
+		if !c.Sample() {
+			t.Fatalf("Sample missed event %d at rate 1", i)
 		}
 	}
 
 	// Tracing off wins over any rate.
 	Disable()
-	if h := c.SampleHold(0, 1); h != nil {
-		t.Fatal("SampleHold fired with tracing disabled")
+	if c.Sample() {
+		t.Fatal("Sample fired with tracing disabled")
 	}
 	Enable()
 }
@@ -85,12 +85,12 @@ func TestHoldWaitBlameProfiles(t *testing.T) {
 	withSampling(t, 1)
 	c := testClass(t, KindComplex)
 
-	h := c.SampleHold(0, 7)
+	h := c.HoldAt(0, 7, 42)
 	if h == nil {
-		t.Fatal("SampleHold returned nil at rate 1")
+		t.Fatal("HoldAt captured no stack")
 	}
-	if h.TID != 7 {
-		t.Fatalf("HoldInfo.TID = %d, want 7", h.TID)
+	if h.TID != 7 || h.Since != 42 {
+		t.Fatalf("HoldInfo TID/Since = %d/%d, want 7/42", h.TID, h.Since)
 	}
 	c.EndHold(h, 1000)
 	c.BlameWait(h, 400)   // attributed to the holder's stack

@@ -21,10 +21,28 @@ type timelineDoc struct {
 	} `json:"traceEvents"`
 }
 
-// stubOwner is a minimal Identifiable span owner for timeline tests.
-type stubOwner uint32
+// stubOwner is a minimal span owner for the trace tests: a trace id and a
+// span slot, nil-safe like sched.Thread.
+type stubOwner struct {
+	tid  uint32
+	slot SpanSlot
+}
 
-func (o stubOwner) TraceID() uint32 { return uint32(o) }
+func newStubOwner(tid uint32) *stubOwner { return &stubOwner{tid: tid} }
+
+func (o *stubOwner) TraceID() uint32 {
+	if o == nil {
+		return 0
+	}
+	return o.tid
+}
+
+func (o *stubOwner) SpanSlot() *SpanSlot {
+	if o == nil {
+		return nil
+	}
+	return &o.slot
+}
 
 func writeTimeline(t *testing.T, events []Event) timelineDoc {
 	t.Helper()
@@ -49,13 +67,13 @@ func TestTimelineSlices(t *testing.T) {
 	c := testClass(t, KindComplex)
 	op := NewOp("tracetest", t.Name()+"-op")
 	tid := RegisterThread(t.Name() + "-thread")
-	owner := stubOwner(tid)
+	owner := newStubOwner(tid)
 
-	c.AcquiredBy(tid, false, 0)
-	c.ReleasedBy(tid, 5_000) // 5µs hold -> one "hold" slice
-	c.WaitingBy(tid)
-	c.DoneWaitingBy(tid, 3_000) // 3µs wait -> one "wait" slice
-	BeginSpan(owner, op).End()  // -> one "op" slice
+	c.AcquiredAt(tid, Now(), false, 0, true)
+	c.ReleasedAt(tid, Now(), 5_000, true) // 5µs hold -> one "hold" slice
+	c.WaitingAt(tid, Now())
+	c.DoneWaitingAt(tid, Now(), 3_000) // 3µs wait -> one "wait" slice
+	BeginSpan(owner, op).End()         // -> one "op" slice
 
 	doc := writeTimeline(t, Events(0))
 	if doc.DisplayTimeUnit != "ms" {
@@ -108,6 +126,7 @@ func TestTimelineInstants(t *testing.T) {
 	ResetEvents()
 	Enable()
 	defer Disable()
+	withSampling(t, 1) // ref clones are sampled; record this one
 	c := testClass(t, KindRef)
 	c.RefClone(2)
 

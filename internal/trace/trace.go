@@ -24,6 +24,25 @@
 //     plus hold-time and wait-time histograms (internal/stats.Histogram),
 //     exportable as text, CSV, or expvar-style JSON.
 //
+// Every event is stamped by the trace clock, Now: the wall time at process
+// start plus the monotonic time since, one clock read where
+// time.Now().UnixNano() makes two. A traced lock reads it once when it
+// acquires and once when it releases; that one stamp feeds the hold time,
+// HoldInfo.Since and the flight-recorder event.
+//
+// What is exact and what is sampled. Every counter, hold and wait
+// histogram, census change, lock-graph edge and observer callback sees
+// every event while tracing is on. Only the flight recorder is sampled,
+// and only for uncontended fast-path operations: the class's
+// 1-in-StackSampling roll (Sample) that decides whether an acquisition
+// captures its holder stack also decides whether its acquire/release pair
+// is written to the ring, and a release is recorded exactly when its
+// acquisition was. Waits, contended acquisitions and their releases,
+// upgrades, downgrades, deactivations, bias revocations, violations, span
+// begin/end and a reference release that reaches zero are always
+// recorded; other reference clones and releases are recorded at the same
+// 1-in-StackSampling rate. SetStackSampling(1) records everything.
+//
 // The entire layer is gated by one atomic flag: with tracing off (the
 // default) every hook is a single atomic load and a predicted branch,
 // mirroring the cxlock observer pattern. Instrumented call sites must
@@ -35,6 +54,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"machlock/internal/stats"
 )
@@ -83,6 +103,19 @@ func Disable() { enabled.Store(false) }
 // Enabled reports whether tracing is on.
 func Enabled() bool { return enabled.Load() }
 
+// clockBase anchors the trace clock: its monotonic reading is the origin
+// of Now's offsets, its wall reading the epoch they are added to.
+var (
+	clockBase = time.Now()
+	clockWall = clockBase.UnixNano()
+)
+
+// Now is the trace clock in Unix nanoseconds: the wall time at process
+// start plus the monotonic time elapsed since. It costs one monotonic
+// clock read (time.Now reads the wall and the monotonic clocks), never
+// runs backwards, and does not follow wall-clock steps made after start.
+func Now() int64 { return clockWall + int64(time.Since(clockBase)) }
+
 // Class is one registered coordination site: the aggregation unit of the
 // observability layer. Create with NewClass (usually in a package var);
 // instances are shared freely between lock instances of the same type.
@@ -113,9 +146,12 @@ type Class struct {
 	// sampled per completed span so its quantiles are real, not derived).
 	work stats.Histogram
 
-	// sampleCtr drives the deterministic 1-in-StackSampling stack capture
-	// of the attribution layer (stack.go).
+	// sampleCtr drives the deterministic 1-in-StackSampling roll for
+	// acquisitions and waits (stack.go); refCtr rolls at the same rate for
+	// reference events, kept apart so reference traffic cannot steer
+	// which acquisitions capture a stack.
 	sampleCtr atomic.Uint64
+	refCtr    atomic.Uint64
 
 	// The three stack-keyed site profiles (stack.go): contended waits by
 	// waiter stack, holds by holder stack, and waiter delay blamed on the
@@ -134,8 +170,8 @@ type Class struct {
 }
 
 // registry is the global class table. Registration is rare (package init,
-// constructor calls); lookups by ID on the event-dump path snapshot the
-// slice under the mutex.
+// constructor calls); the event-dump path resolves ids against one
+// snapshot of the slice per dump.
 var registry struct {
 	mu    sync.Mutex
 	byKey map[string]*Class
@@ -178,16 +214,6 @@ func Classes() []*Class {
 	return out
 }
 
-// classByID resolves an event's class id; nil if the id is stale/unknown.
-func classByID(id uint32) *Class {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if int(id) < len(registry.all) {
-		return registry.all[id]
-	}
-	return nil
-}
-
 // Name returns the class name.
 func (c *Class) Name() string { return c.name }
 
@@ -202,17 +228,21 @@ func (c *Class) Kind() Kind { return c.kind }
 // clock reads on the disabled fast path.
 func (c *Class) On() bool { return c != nil && enabled.Load() }
 
-// Acquired records one successful acquisition. contended marks an
-// acquisition that did not succeed on the first attempt; waitNs (>= 0) is
-// how long it waited.
+// Acquired records one successful acquisition stamped now and always
+// written to the flight recorder: the convenience form for tools and
+// tests. contended marks an acquisition that did not succeed on the first
+// attempt; waitNs (>= 0) is how long it waited.
 func (c *Class) Acquired(contended bool, waitNs int64) {
-	c.AcquiredBy(0, contended, waitNs)
+	c.AcquiredAt(0, Now(), contended, waitNs, true)
 }
 
-// AcquiredBy is Acquired with the acquiring thread's trace id (see
-// RegisterThread), which stamps the flight-recorder event so the timeline
-// export can place it on the thread's track. tid 0 means anonymous.
-func (c *Class) AcquiredBy(tid uint32, contended bool, waitNs int64) {
+// AcquiredAt records one successful acquisition by the thread with trace
+// id tid (see RegisterThread; 0 means anonymous), stamped now (Now). The
+// counters, the wait histogram and the lock graph always see it; ring
+// decides whether it is written to the flight recorder, and contended
+// acquisitions always are. Lock implementations pass ring = sampled ||
+// contended and hand the same value to the matching ReleasedAt.
+func (c *Class) AcquiredAt(tid uint32, now int64, contended bool, waitNs int64, ring bool) {
 	if !c.On() {
 		return
 	}
@@ -224,15 +254,21 @@ func (c *Class) AcquiredBy(tid uint32, contended bool, waitNs int64) {
 	if graphEnabled.Load() {
 		lockGraphAcquire(c)
 	}
-	emit(c.id, OpAcquire, waitNs, tid)
+	if ring || contended {
+		emit(c.id, OpAcquire, waitNs, tid, now)
+	}
 }
 
 // Released records one release with the hold time of the critical section
-// (holdNs < 0 means unknown; no hold sample is recorded).
-func (c *Class) Released(holdNs int64) { c.ReleasedBy(0, holdNs) }
+// (holdNs < 0 means unknown; no hold sample is recorded), stamped now and
+// always written to the flight recorder.
+func (c *Class) Released(holdNs int64) { c.ReleasedAt(0, Now(), holdNs, true) }
 
-// ReleasedBy is Released with the releasing thread's trace id.
-func (c *Class) ReleasedBy(tid uint32, holdNs int64) {
+// ReleasedAt is the release counterpart of AcquiredAt: the counters and
+// the hold histogram always see it, and ring (the value the acquisition
+// was recorded with) decides whether it is written to the flight
+// recorder.
+func (c *Class) ReleasedAt(tid uint32, now int64, holdNs int64, ring bool) {
 	if !c.On() {
 		return
 	}
@@ -243,29 +279,32 @@ func (c *Class) ReleasedBy(tid uint32, holdNs int64) {
 	if graphEnabled.Load() {
 		lockGraphRelease(c)
 	}
-	emit(c.id, OpRelease, holdNs, tid)
+	if ring {
+		emit(c.id, OpRelease, holdNs, tid, now)
+	}
 }
 
 // Waiting records the start of a wait (sleep or spin) for the lock.
-func (c *Class) Waiting() { c.WaitingBy(0) }
+func (c *Class) Waiting() { c.WaitingAt(0, Now()) }
 
-// WaitingBy is Waiting with the waiting thread's trace id.
-func (c *Class) WaitingBy(tid uint32) {
+// WaitingAt is Waiting by thread tid, stamped now. Waits are always
+// written to the flight recorder.
+func (c *Class) WaitingAt(tid uint32, now int64) {
 	if !c.On() {
 		return
 	}
-	emit(c.id, OpWait, 0, tid)
+	emit(c.id, OpWait, 0, tid, now)
 }
 
 // DoneWaiting records the end of a wait; waitNs is the time spent waiting.
-func (c *Class) DoneWaiting(waitNs int64) { c.DoneWaitingBy(0, waitNs) }
+func (c *Class) DoneWaiting(waitNs int64) { c.DoneWaitingAt(0, Now(), waitNs) }
 
-// DoneWaitingBy is DoneWaiting with the waiting thread's trace id.
-func (c *Class) DoneWaitingBy(tid uint32, waitNs int64) {
+// DoneWaitingAt is DoneWaiting by thread tid, stamped now.
+func (c *Class) DoneWaitingAt(tid uint32, now int64, waitNs int64) {
 	if !c.On() {
 		return
 	}
-	emit(c.id, OpDoneWait, waitNs, tid)
+	emit(c.id, OpDoneWait, waitNs, tid, now)
 }
 
 // Upgraded records a read-to-write upgrade attempt; ok reports whether it
@@ -276,10 +315,10 @@ func (c *Class) Upgraded(ok bool) {
 	}
 	if ok {
 		c.upgrades.Inc()
-		emit(c.id, OpUpgrade, 1, 0)
+		emit(c.id, OpUpgrade, 1, 0, Now())
 	} else {
 		c.failedUpgrades.Inc()
-		emit(c.id, OpUpgrade, 0, 0)
+		emit(c.id, OpUpgrade, 0, 0, Now())
 	}
 }
 
@@ -289,26 +328,32 @@ func (c *Class) Downgraded() {
 		return
 	}
 	c.downgrades.Inc()
-	emit(c.id, OpDowngrade, 0, 0)
+	emit(c.id, OpDowngrade, 0, 0, Now())
 }
 
 // RefClone records a reference clone; refs is the count after the clone.
+// It is written to the flight recorder 1-in-StackSampling.
 func (c *Class) RefClone(refs int64) {
 	if !c.On() {
 		return
 	}
 	c.refClones.Inc()
-	emit(c.id, OpRefClone, refs, 0)
+	if rollFires(&c.refCtr) {
+		emit(c.id, OpRefClone, refs, 0, Now())
+	}
 }
 
 // RefRelease records a reference release; refs is the count after the
-// release (0 means the object is being destroyed).
+// release (0 means the object is being destroyed). The release to zero is
+// always written to the flight recorder, others 1-in-StackSampling.
 func (c *Class) RefRelease(refs int64) {
 	if !c.On() {
 		return
 	}
 	c.refReleases.Inc()
-	emit(c.id, OpRefRelease, refs, 0)
+	if refs == 0 || rollFires(&c.refCtr) {
+		emit(c.id, OpRefRelease, refs, 0, Now())
+	}
 }
 
 // Deactivated records an object deactivation (Section 9 active
@@ -318,7 +363,7 @@ func (c *Class) Deactivated() {
 		return
 	}
 	c.deactivates.Inc()
-	emit(c.id, OpDeactivate, 0, 0)
+	emit(c.id, OpDeactivate, 0, 0, Now())
 }
 
 // BiasRevoked records a write request revoking a complex lock's reader
@@ -328,7 +373,7 @@ func (c *Class) BiasRevoked() {
 		return
 	}
 	c.biasRevokes.Inc()
-	emit(c.id, OpBiasRevoke, 0, 0)
+	emit(c.id, OpBiasRevoke, 0, 0, Now())
 }
 
 // CensusInc records the birth of one instance of this class (an object

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -142,6 +143,75 @@ func TestFlightRecorderRecordsAndOrders(t *testing.T) {
 	}
 }
 
+// TestEventsDecodeEveryClass: a dump resolves each slot's class id from
+// one registry snapshot per dump, so every event — including those of a
+// class registered after an earlier dump — decodes to the class, op, arg
+// and thread that recorded it.
+func TestEventsDecodeEveryClass(t *testing.T) {
+	ResetEvents()
+	Enable()
+	defer Disable()
+	record := func(cs []*Class) {
+		for i, c := range cs {
+			c.ReleasedAt(uint32(i+1), Now(), int64(1000+i), true)
+		}
+	}
+	check := func(cs []*Class) {
+		t.Helper()
+		index := make(map[*Class]int, len(cs))
+		for i, c := range cs {
+			index[c] = i
+		}
+		seen := 0
+		for _, e := range Events(0) {
+			i, ok := index[e.Class]
+			if !ok {
+				continue
+			}
+			seen++
+			if e.Op != OpRelease || e.Arg != int64(1000+i) || e.TID != uint32(i+1) {
+				t.Fatalf("class %s decoded as %s arg=%d tid=%d", cs[i].name, e.Op, e.Arg, e.TID)
+			}
+		}
+		if seen != len(cs) {
+			t.Fatalf("decoded %d of %d events", seen, len(cs))
+		}
+	}
+	var cs []*Class
+	for i := 0; i < 40; i++ {
+		cs = append(cs, NewClass("tracetest", fmt.Sprintf("%s-%d", t.Name(), i), KindSpin))
+	}
+	record(cs)
+	check(cs)
+	late := NewClass("tracetest", t.Name()+"-late", KindSpin)
+	ResetEvents()
+	cs = append(cs, late)
+	record(cs)
+	check(cs)
+}
+
+// TestRingCapacityRoundsUp: shard capacity is a power of two (the slot
+// index is a mask), so SetRingCapacity rounds up.
+func TestRingCapacityRoundsUp(t *testing.T) {
+	SetRingCapacity(5)
+	defer SetRingCapacity(DefaultRingCapacity)
+	Enable()
+	defer Disable()
+	c := testClass(t, KindSpin)
+	for i := 0; i < 20; i++ {
+		c.Released(int64(i)) // one call site: one goroutine stack, one shard
+	}
+	n := 0
+	for _, e := range Events(0) {
+		if e.Class == c {
+			n++
+		}
+	}
+	if n != 8 {
+		t.Fatalf("shard retained %d events, want 8 (5 rounded up)", n)
+	}
+}
+
 func TestFlightRecorderWraps(t *testing.T) {
 	SetRingCapacity(8)
 	defer SetRingCapacity(DefaultRingCapacity)
@@ -200,7 +270,7 @@ func TestFlightRecorderConcurrentWraparound(t *testing.T) {
 		go func(tid uint32) {
 			defer wgWriters.Done()
 			for i := 0; i < perWriter; i++ {
-				c.ReleasedBy(tid, int64(i))
+				c.ReleasedAt(tid, Now(), int64(i), true)
 			}
 		}(uint32(w))
 	}

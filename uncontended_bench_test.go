@@ -213,3 +213,36 @@ func BenchmarkUncontendedFacade(b *testing.B) {
 		l.Unlock()
 	}
 }
+
+// BenchmarkUncontendedSpinTraced is BenchmarkUncontendedSpinClassed with
+// tracing ON at the default stack-sampling rate: what an always-on
+// monitor pays per spin-lock acquisition (counters, hold histogram, and
+// the sampled flight-recorder pair).
+func BenchmarkUncontendedSpinTraced(b *testing.B) {
+	trace.Enable()
+	defer trace.Disable()
+	var l splock.Lock
+	l.SetClass(trace.NewClass("bench", "bench.spin.traced", trace.KindSpin))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Lock()
+		l.Unlock()
+	}
+}
+
+// BenchmarkUncontendedObjectLockRefTraced is the object lock/reference/
+// release cycle with tracing ON at the default sampling rate.
+func BenchmarkUncontendedObjectLockRefTraced(b *testing.B) {
+	trace.Enable()
+	defer trace.Disable()
+	var o object.Object
+	o.Init("bench")
+	o.SetClass(trace.NewClass("bench", "bench.object.traced", trace.KindObject))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o.Lock()
+		o.Reference()
+		o.Unlock()
+		o.Release(nil)
+	}
+}
